@@ -43,7 +43,6 @@ from .routing import (
 from .simnet import (
     Coordinator,
     FrameKind,
-    NodeMode,
     NodeState,
     RadioFrame,
     SimConfig,

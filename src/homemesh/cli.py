@@ -292,7 +292,7 @@ def _pump(net: SimNetwork, sock: socket.socket, decoder: wire.StreamDecoder,
         if until is not None:
             if until():
                 return True
-            time.sleep(0.001)  # let the service threads catch up
+            time.sleep(0.001)  # let the service catch up
     return until() if until is not None else True
 
 
@@ -307,6 +307,9 @@ def cmd_demo(args) -> int:
         return 3
     failures = []
     try:
+        # records already in the store belong to earlier runs
+        records, _ = service.query_history()
+        cursor = records[-1].record_id if records else 0
         net = SimNetwork(topology, args.k, seed=args.seed, sample_period=20)
         table, messages = net.run_discovery()
         ok = table.cost == topology.table.cost and messages == topology.n
@@ -319,13 +322,22 @@ def cmd_demo(args) -> int:
             decoder = wire.StreamDecoder()
             sock.sendall(wire.encode_datagram(
                 wire.Datagram(wire.MsgType.HEARTBEAT, 0, topology.coordinator)))
+            # its ACK shows the service has registered the session
+            while True:
+                data = sock.recv(4096)
+                if not data:
+                    raise OSError("monitor closed the coordinator session")
+                if decoder.feed(data):
+                    break
 
             def readings_seen():
-                records, _ = service.query_history(kind=monitor.RecordKind.READING, limit=1)
+                records, _ = service.query_history(kind=monitor.RecordKind.READING,
+                                                   limit=1, cursor=cursor)
                 return bool(records)
 
             _pump(net, sock, decoder, args.ticks, until=readings_seen)
-            count = len(service.query_history(kind=monitor.RecordKind.READING)[0])
+            count = len(service.query_history(kind=monitor.RecordKind.READING,
+                                              cursor=cursor)[0])
             print(f"readings ingested: {count}")
             if count == 0:
                 failures.append("no readings ingested")
@@ -346,11 +358,11 @@ def cmd_demo(args) -> int:
             net.inject_alarm(args.alarm_node, DEMO_ALARM)
 
             def alarm_parsed():
-                records, _ = service.query_history(kind=monitor.RecordKind.ALARM)
+                records, _ = service.query_history(kind=monitor.RecordKind.ALARM, cursor=cursor)
                 return any(r.cid is not None for r in records)
 
             _pump(net, sock, decoder, args.ticks, until=alarm_parsed)
-            alarms, _ = service.query_history(kind=monitor.RecordKind.ALARM)
+            alarms, _ = service.query_history(kind=monitor.RecordKind.ALARM, cursor=cursor)
             parsed = [r for r in alarms if r.cid is not None]
             if parsed:
                 print(f"alarm ingested: event_code={parsed[0].cid.event_code}"

@@ -1,14 +1,16 @@
 """Monitoring-center service: ingests framed datagrams over TCP, persists them
 in an append-only log, answers history/live queries, and dispatches commands.
 
-Any number of coordinator sessions may be connected; every store mutation is
-serialized through one writer lock, and a malformed session is closed without
-touching the others. A second listener speaks a line-delimited JSON admin
-protocol for queries, snapshots, and command dispatch.
+Every socket and timer runs on one asyncio event loop in one thread, so store
+writes are serialized by the loop itself. Any number of coordinator sessions
+may be connected, and a malformed session is closed without touching the
+others. A second listener speaks a line-delimited JSON admin protocol for
+queries, snapshots, and command dispatch.
 """
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import logging
@@ -17,6 +19,7 @@ import socket
 import struct
 import threading
 import time
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +33,10 @@ RECORD_HEADER = struct.Struct(">QHI")
 
 DEFAULT_LISTEN = ("127.0.0.1", 7007)
 DEFAULT_ADMIN = ("127.0.0.1", 7008)
+
+# a frame repeating (seq, payload) within this many of its coordinator's stored
+# frames is a retransmit; half the 16-bit seq space, so a wrapped seq is new
+DEDUP_WINDOW = 1 << 15
 
 
 class RecordKind(Enum):
@@ -102,19 +109,26 @@ def _build_record(record_id, received_at, coordinator_id, d: wire.Datagram) -> S
                         d.seq, kind, d.payload, cid, cid_error)
 
 
+def _dedup_key(d: wire.Datagram) -> tuple[int, bytes]:
+    return d.seq, hashlib.sha256(d.payload).digest()
+
+
 class RecordStore:
     """Append-only datagram log with in-memory indexes rebuilt on open.
 
     One record on disk is RECORD_HEADER followed by the encoded datagram.
-    A torn tail from a crashed writer is truncated away on open. Duplicate
-    frames, keyed by (coordinator_id, seq, payload hash), are stored once.
+    A torn tail from a crashed writer is truncated away on open. A frame is a
+    duplicate, and is not stored again, when its coordinator stored the same
+    (seq, payload hash) among its last DEDUP_WINDOW stored frames.
     """
 
     def __init__(self, path):
         self._path = str(path)
         self._lock = threading.RLock()
         self._records: list[SensorRecord] = []
-        self._seen: dict[tuple[int, int, bytes], SensorRecord] = {}
+        # per coordinator: (seq, payload hash) -> record, oldest first
+        self._recent: defaultdict[int, OrderedDict[tuple[int, bytes], SensorRecord]] = \
+            defaultdict(OrderedDict)
         self._latest: dict[tuple[int, int], SensorRecord] = {}
         valid = self._replay()
         mode = "r+b" if os.path.exists(self._path) else "w+b"
@@ -139,16 +153,18 @@ class RecordStore:
             except wire.ProtocolError:
                 log.warning("%s: corrupt record at byte %d, truncating", self._path, offset)
                 break
-            self._index(received_at, coordinator_id, datagram)
+            self._index(received_at, coordinator_id, datagram, _dedup_key(datagram))
             offset = end
             valid = end
         return valid
 
-    def _index(self, received_at, coordinator_id, datagram) -> SensorRecord:
+    def _index(self, received_at, coordinator_id, datagram, key) -> SensorRecord:
         record = _build_record(len(self._records) + 1, received_at, coordinator_id, datagram)
         self._records.append(record)
-        key = (coordinator_id, datagram.seq, hashlib.sha256(datagram.payload).digest())
-        self._seen[key] = record
+        recent = self._recent[coordinator_id]
+        recent[key] = record
+        if len(recent) > DEDUP_WINDOW:
+            recent.popitem(last=False)
         self._latest[(coordinator_id, datagram.src_node)] = record
         return record
 
@@ -157,9 +173,9 @@ class RecordStore:
         """Persist one datagram; returns (record, created). A duplicate returns
         the existing record with created=False and writes nothing."""
         raw = wire.encode_datagram(d)
-        key = (coordinator_id, d.seq, hashlib.sha256(d.payload).digest())
+        key = _dedup_key(d)
         with self._lock:
-            existing = self._seen.get(key)
+            existing = self._recent.get(coordinator_id, {}).get(key)
             if existing is not None:
                 return existing, False
             if received_at is None:
@@ -169,7 +185,7 @@ class RecordStore:
             self._file.write(RECORD_HEADER.pack(received_at, coordinator_id, len(raw)))
             self._file.write(raw)
             self._file.flush()
-            return self._index(received_at, coordinator_id, d), True
+            return self._index(received_at, coordinator_id, d, key), True
 
     def query(self, src_node=None, kind=None, since=None, until=None,
               limit=None, cursor=None) -> tuple[list[SensorRecord], int | None]:
@@ -209,7 +225,7 @@ class RecordStore:
     @property
     def max_coordinator_id(self) -> int:
         with self._lock:
-            return max((r.coordinator_id for r in self._records), default=0)
+            return max(self._recent, default=0)
 
     def close(self) -> None:
         with self._lock:
@@ -217,37 +233,55 @@ class RecordStore:
             self._file.close()
 
 
-class _Session:
-    """One connected coordinator; owns its socket writes and pending commands."""
+class _Session(asyncio.Protocol):
+    """One connected coordinator; runs on the service's event loop."""
 
-    def __init__(self, session_id: int, conn: socket.socket, addr):
+    def __init__(self, service: MonitorService, session_id: int):
+        self.service = service
         self.id = session_id
-        self.conn = conn
-        self.addr = addr
         self.decoder = wire.StreamDecoder()
         self.pending: dict[int, int] = {}  # command seq -> ticket id
-        self.alive = True
-        self._send_lock = threading.Lock()
+        self.transport: asyncio.Transport | None = None
         self._command_seq = 0
 
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.service._sessions[self.id] = self
+        log.info("coordinator session %d from %s", self.id, transport.get_extra_info("peername"))
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            datagrams = self.decoder.feed(data)
+        except wire.ProtocolError as exc:
+            log.warning("session %d: protocol error: %s", self.id, exc)
+            self.transport.abort()
+            return
+        replies = [self.service.handle_datagram(self, d) for d in datagrams]
+        self.transport.write(b"".join(wire.encode_datagram(r) for r in replies if r is not None))
+
+    # a peer that stops reading its replies stops being read, so the reply
+    # buffer stays bounded
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        self.service._sessions.pop(self.id, None)
+        log.info("session %d closed", self.id)
+
     def next_command_seq(self) -> int:
-        with self._send_lock:
-            seq = self._command_seq
-            self._command_seq = (self._command_seq + 1) & 0xFFFF
-            return seq
+        seq = self._command_seq
+        self._command_seq = (self._command_seq + 1) & 0xFFFF
+        return seq
 
     def send(self, d: wire.Datagram) -> None:
-        data = wire.encode_datagram(d)
-        with self._send_lock:
-            self.conn.sendall(data)
+        self.transport.write(wire.encode_datagram(d))
 
-    def close(self) -> None:
-        self.alive = False
-        try:
-            self.conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.conn.close()
+
+async def _call(fn, *args):
+    return fn(*args)
 
 
 class MonitorService:
@@ -262,15 +296,14 @@ class MonitorService:
         self.store: RecordStore | None = None
         self._listener: socket.socket | None = None
         self._admin_listener: socket.socket | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
+        self._servers: list[asyncio.AbstractServer] = []
         self._sessions: dict[int, _Session] = {}
-        self._session_lock = threading.Lock()
-        self._admin_conns: set[socket.socket] = set()
+        self._admin_clients: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._next_session_id = 1
         self._tickets: dict[int, CommandTicket] = {}
-        self._ticket_lock = threading.Lock()
         self._next_ticket_id = 1
-        self._threads: list[threading.Thread] = []
-        self._running = False
 
     # --- lifecycle ---------------------------------------------------------
 
@@ -285,34 +318,37 @@ class MonitorService:
                 self._listener.close()
             self.store.close()
             raise
-        self._running = True
-        for target, listener in ((self._accept_loop, self._listener),
-                                 (self._admin_accept_loop, self._admin_listener)):
-            thread = threading.Thread(target=target, args=(listener,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        loop = asyncio.new_event_loop()
+        self._servers = [
+            loop.run_until_complete(loop.create_server(self._new_session, sock=self._listener)),
+            loop.run_until_complete(asyncio.start_server(self._admin_client,
+                                                         sock=self._admin_listener)),
+        ]
+        self._loop = loop
+        self._thread = threading.Thread(target=loop.run_forever, name="monitor-loop",
+                                        daemon=True)
+        self._thread.start()
         log.info("monitor listening on %s, admin on %s", self.address, self.admin_address)
         return self
 
     def stop(self) -> None:
-        self._running = False
-        for listener in (self._listener, self._admin_listener):
-            if listener is not None:
-                listener.close()
-        with self._session_lock:
-            sessions = list(self._sessions.values())
-            admin_conns = list(self._admin_conns)
-        for session in sessions:
-            session.close()
-        for conn in admin_conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=5)
+        if self._loop is not None:
+            asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop).result()
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=5)
+            self._loop.close()
         if self.store is not None:
             self.store.close()
+
+    async def _shutdown(self) -> None:
+        # before Python 3.12, Server.close() leaves accepted connections open
+        for server in self._servers:
+            server.close()
+        for session in list(self._sessions.values()):
+            session.transport.abort()
+        for writer in self._admin_clients:
+            writer.transport.abort()
+        await asyncio.gather(*self._admin_clients.values())
 
     def __enter__(self):
         return self.start()
@@ -330,44 +366,10 @@ class MonitorService:
 
     # --- coordinator sessions ----------------------------------------------
 
-    def _accept_loop(self, listener: socket.socket) -> None:
-        # a blocked accept() is not reliably woken by close(); poll instead
-        listener.settimeout(0.2)
-        while self._running:
-            try:
-                conn, addr = listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            with self._session_lock:
-                session = _Session(self._next_session_id, conn, addr)
-                self._next_session_id += 1
-                self._sessions[session.id] = session
-            log.info("coordinator session %d from %s", session.id, addr)
-            thread = threading.Thread(target=self._session_loop, args=(session,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _session_loop(self, session: _Session) -> None:
-        try:
-            while self._running:
-                data = session.conn.recv(4096)
-                if not data:
-                    break
-                for datagram in session.decoder.feed(data):
-                    reply = self.handle_datagram(session, datagram)
-                    if reply is not None:
-                        session.send(reply)
-        except wire.ProtocolError as exc:
-            log.warning("session %d: protocol error: %s", session.id, exc)
-        except OSError:
-            pass
-        finally:
-            session.close()
-            with self._session_lock:
-                self._sessions.pop(session.id, None)
-            log.info("session %d closed", session.id)
+    def _new_session(self) -> _Session:
+        session = _Session(self, self._next_session_id)
+        self._next_session_id += 1
+        return session
 
     def handle_datagram(self, session: _Session, d: wire.Datagram) -> wire.Datagram | None:
         """Ingest one decoded datagram; returns the reply to send, if any."""
@@ -400,49 +402,46 @@ class MonitorService:
         self._advance(ticket_id, state)
 
     def _advance(self, ticket_id: int, state: TicketState) -> bool:
-        with self._ticket_lock:
-            ticket = self._tickets.get(ticket_id)
-            if ticket is None or ticket.state in TERMINAL_STATES:
-                return False
-            if _TICKET_RANK[state] < _TICKET_RANK[ticket.state]:
-                return False
-            ticket.state = state
-            return True
+        ticket = self._tickets.get(ticket_id)
+        if ticket is None or ticket.state in TERMINAL_STATES:
+            return False
+        if _TICKET_RANK[state] < _TICKET_RANK[ticket.state]:
+            return False
+        ticket.state = state
+        return True
+
+    def _expire(self, session: _Session, seq: int, ticket_id: int) -> None:
+        if session.pending.get(seq) == ticket_id:
+            del session.pending[seq]
+        self._advance(ticket_id, TicketState.TIMED_OUT)
 
     def dispatch_command(self, target_node: int, opcode: wire.SwitchOpcode) -> CommandTicket:
         """Frame and send a COMMAND to the newest coordinator session.
 
-        The returned ticket advances to ACKED/NACKED when the coordinator
-        answers, or to TIMED_OUT after command_timeout seconds.
+        Callable from any thread. The returned ticket advances to ACKED/NACKED
+        when the coordinator answers, or to TIMED_OUT after command_timeout
+        seconds.
         """
-        with self._session_lock:
-            live = [s for s in self._sessions.values() if s.alive]
+        if threading.current_thread() is not self._thread:
+            return asyncio.run_coroutine_threadsafe(
+                _call(self.dispatch_command, target_node, opcode), self._loop).result()
+        live = [s for s in self._sessions.values() if not s.transport.is_closing()]
         if not live:
             raise NoCoordinator("no coordinator session connected")
         session = max(live, key=lambda s: s.id)
-        with self._ticket_lock:
-            ticket = CommandTicket(self._next_ticket_id, target_node, wire.SwitchOpcode(opcode))
-            self._next_ticket_id += 1
-            self._tickets[ticket.ticket_id] = ticket
+        ticket = CommandTicket(self._next_ticket_id, target_node, wire.SwitchOpcode(opcode))
+        self._next_ticket_id += 1
+        self._tickets[ticket.ticket_id] = ticket
         seq = session.next_command_seq()
         session.pending[seq] = ticket.ticket_id
-        datagram = wire.Datagram(wire.MsgType.COMMAND, seq, target_node,
-                                 wire.encode_command_payload(target_node, opcode))
-        try:
-            session.send(datagram)
-        except OSError as exc:
-            session.close()
-            raise NoCoordinator(f"coordinator session {session.id} went away: {exc}") from exc
+        session.send(wire.Datagram(wire.MsgType.COMMAND, seq, target_node,
+                                   wire.encode_command_payload(target_node, opcode)))
         self._advance(ticket.ticket_id, TicketState.SENT)
-        timer = threading.Timer(self.command_timeout, self._advance,
-                                args=(ticket.ticket_id, TicketState.TIMED_OUT))
-        timer.daemon = True
-        timer.start()
+        self._loop.call_later(self.command_timeout, self._expire, session, seq, ticket.ticket_id)
         return ticket
 
     def ticket(self, ticket_id: int) -> CommandTicket:
-        with self._ticket_lock:
-            ticket = self._tickets.get(ticket_id)
+        ticket = self._tickets.get(ticket_id)
         if ticket is None:
             raise InvalidInput(f"unknown ticket id {ticket_id}")
         return ticket
@@ -457,38 +456,25 @@ class MonitorService:
 
     # --- admin protocol --------------------------------------------------------
 
-    def _admin_accept_loop(self, listener: socket.socket) -> None:
-        listener.settimeout(0.2)
-        while self._running:
-            try:
-                conn, _addr = listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            thread = threading.Thread(target=self._admin_loop, args=(conn,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _admin_loop(self, conn: socket.socket) -> None:
-        with self._session_lock:
-            self._admin_conns.add(conn)
+    async def _admin_client(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter) -> None:
+        self._admin_clients[writer] = asyncio.current_task()
         try:
-            with conn, conn.makefile("rb") as reader:
-                for line in reader:
-                    try:
-                        request = json.loads(line)
-                        response = self._admin_dispatch(request)
-                    except (ValueError, InvalidInput) as exc:
-                        response = {"ok": False, "error": str(exc)}
-                    except NoCoordinator as exc:
-                        response = {"ok": False, "error": str(exc), "no_coordinator": True}
-                    conn.sendall(json.dumps(response).encode() + b"\n")
-        except OSError:
+            while line := await reader.readline():
+                try:
+                    request = json.loads(line)
+                    response = self._admin_dispatch(request)
+                except (ValueError, InvalidInput) as exc:
+                    response = {"ok": False, "error": str(exc)}
+                except NoCoordinator as exc:
+                    response = {"ok": False, "error": str(exc), "no_coordinator": True}
+                writer.write(json.dumps(response).encode() + b"\n")
+                await writer.drain()
+        except (OSError, ValueError):  # ValueError: a line over the reader's limit
             pass
         finally:
-            with self._session_lock:
-                self._admin_conns.discard(conn)
+            del self._admin_clients[writer]
+            writer.close()
 
     def _admin_dispatch(self, request: dict) -> dict:
         op = request.get("op")

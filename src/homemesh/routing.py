@@ -9,6 +9,7 @@ two-hop route beat an equally long three-hop one.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,39 +162,34 @@ def path_distance(table: DistanceTable, path) -> float:
     return sum(table.cost[a - 1][b - 1] for a, b in zip(nodes, nodes[1:]))
 
 
-def tally_route(route: Route, counts, relay_counts, mode: CountingMode) -> None:
-    """Accumulate one delivered route into per-node visit and relay tallies."""
-    path = route.path
-    visited = path[:-1] if mode is CountingMode.TRANSMITTERS_ONLY else path
-    for node in visited:
-        counts[node] += 1
-    for node in path[1:-1]:
-        relay_counts[node] += 1
-
-
-def all_pairs_profile(table: DistanceTable, radius: float, mode: CountingMode) -> VisitStats:
-    """Route every ordered pair once and tally the visits analytically.
+def tally_pairs(table: DistanceTable, pairs, radius: float, mode: CountingMode) -> VisitStats:
+    """Route each (src, dst) pair in order and tally per-node visits and relays.
 
     Unreachable pairs contribute nothing to the counts and are reported in
     `unreachable`. The relay tallies feed the top-relays ranking.
     """
-    if table.n < 2:
-        raise InvalidInput("profile needs at least 2 nodes")
-    if not radius >= 0:  # also catches NaN
-        raise InvalidInput(f"radius must be non-negative, got {radius}")
     counts = {node: 0 for node in table.nodes}
     relay_counts = {node: 0 for node in table.nodes}
     delivered = 0
     unreachable = 0
-    for src in table.nodes:
-        for dst in table.nodes:
-            if src == dst:
-                continue
-            try:
-                route = find_optimal_path(table, RouteQuery(src, dst, radius))
-            except NoPath:
-                unreachable += 1
-                continue
-            delivered += 1
-            tally_route(route, counts, relay_counts, mode)
+    for src, dst in pairs:
+        try:
+            path = find_optimal_path(table, RouteQuery(src, dst, radius)).path
+        except NoPath:
+            unreachable += 1
+            continue
+        delivered += 1
+        for node in path[:-1] if mode is CountingMode.TRANSMITTERS_ONLY else path:
+            counts[node] += 1
+        for node in path[1:-1]:
+            relay_counts[node] += 1
     return VisitStats(counts, relay_counts, delivered, unreachable, mode)
+
+
+def all_pairs_profile(table: DistanceTable, radius: float, mode: CountingMode) -> VisitStats:
+    """Route every ordered pair once and tally the visits analytically."""
+    if table.n < 2:
+        raise InvalidInput("profile needs at least 2 nodes")
+    if not radius >= 0:  # also catches NaN
+        raise InvalidInput(f"radius must be non-negative, got {radius}")
+    return tally_pairs(table, itertools.permutations(table.nodes, 2), radius, mode)

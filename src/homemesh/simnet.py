@@ -21,7 +21,7 @@ from .routing import (
     RouteQuery,
     VisitStats,
     find_optimal_path,
-    tally_route,
+    tally_pairs,
 )
 
 MAX_FRAME_PAYLOAD = 96  # small-frame discipline for the radio side
@@ -116,12 +116,6 @@ class RadioFrame:
         return bool(self.route) and self.hop_index == len(self.route) - 1
 
 
-class NodeMode(Enum):
-    SAMPLING = "sampling"
-    SENDING = "sending"
-    HIBERNATING = "hibernating"
-
-
 class SwitchState(Enum):
     ON = "on"
     OFF = "off"
@@ -132,14 +126,13 @@ class NodeState:
     """One duty-cycled sensor node, advanced functionally by the tick loop.
 
     The duty cycle is sample -> send -> hibernate; a full cycle runs inside
-    one due tick, so states at rest are always HIBERNATING. Interrupt handling
-    (node_on_receive) never touches next_wake.
+    one due tick, so a node at rest is always hibernating until next_wake.
+    Interrupt handling (node_on_receive) never touches next_wake.
     """
 
     id: int
     sample_period: int
     next_wake: int = 0
-    mode: NodeMode = NodeMode.HIBERNATING
     relay_switch: SwitchState = SwitchState.OFF
     last_reading: int = 0
     coordinator: int = 1
@@ -178,7 +171,6 @@ def node_tick(state: NodeState, now: int) -> tuple[NodeState, list[RadioFrame]]:
         next_wake = now + state.sample_period
     new_state = replace(
         state,
-        mode=NodeMode.HIBERNATING,
         last_reading=reading,
         next_wake=next_wake,
     )
@@ -277,19 +269,7 @@ class SimConfig:
 
 def run_pairs(topology: Topology, pairs, radius: float, mode: CountingMode) -> VisitStats:
     """Route and tally an explicit sequence of (src, dst) transmissions."""
-    counts = {node: 0 for node in topology.nodes}
-    relay_counts = {node: 0 for node in topology.nodes}
-    delivered = 0
-    unreachable = 0
-    for src, dst in pairs:
-        try:
-            route = find_optimal_path(topology.table, RouteQuery(src, dst, radius))
-        except NoPath:
-            unreachable += 1
-            continue
-        delivered += 1
-        tally_route(route, counts, relay_counts, mode)
-    return VisitStats(counts, relay_counts, delivered, unreachable, mode)
+    return tally_pairs(topology.table, pairs, radius, mode)
 
 
 def run_traffic(topology: Topology, config: SimConfig) -> VisitStats:

@@ -233,3 +233,11 @@ def test_demo_succeeds(tmp_path, capsys):
     assert "demo OK" in out
     assert "acked" in out
     assert "event_code=131" in out
+
+
+def test_demo_twice_on_one_store(tmp_path, capsys):
+    store = str(tmp_path / "demo.log")
+    first, _, _ = run(capsys, "demo", "--store", store)
+    second, out, err = run(capsys, "demo", "--store", store)
+    assert (first, second) == (0, 0), err
+    assert "demo OK" in out

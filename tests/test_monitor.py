@@ -184,6 +184,19 @@ def test_store_restart_preserves_records(tmp_path):
     reopened.close()
 
 
+def test_store_dedup_window_survives_seq_wrap(tmp_path):
+    store = RecordStore(tmp_path / "s.log")
+    for i in range(70_000):
+        _, created = store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, i & 0xFFFF, 1),
+                                  received_at=i)
+        assert created, f"heartbeat {i} was not stored"
+    # an immediate retransmit is still a duplicate
+    _, created = store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 69_999 & 0xFFFF, 1))
+    assert not created
+    assert len(store.query()[0]) == 70_000
+    store.close()
+
+
 def test_store_truncates_torn_tail(tmp_path):
     path = tmp_path / "s.log"
     store = RecordStore(path)
@@ -322,6 +335,28 @@ def test_dispatch_times_out(service):
     client.recv()  # swallow the COMMAND, never answer
     assert wait_for(lambda: ticket.state is TicketState.TIMED_OUT, timeout=3)
     client.close()
+
+
+def test_timed_out_command_clears_pending(tmp_path):
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                   store_path=tmp_path / "store.log", command_timeout=0.2)
+    try:
+        client = Client(handle)
+        client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+        client.recv()
+        (session,) = handle._sessions.values()
+        ticket = handle.dispatch_command(10, wire.SwitchOpcode.SWITCH_ON)
+        (command,) = client.recv()
+        assert wait_for(lambda: ticket.state is TicketState.TIMED_OUT, timeout=3)
+        assert session.pending == {}
+        # a late ACK finds no pending entry; the heartbeat's ACK shows it was read
+        client.send(wire.Datagram(wire.MsgType.ACK, command.seq, 10))
+        client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 1, 1))
+        client.recv()
+        assert ticket.state is TicketState.TIMED_OUT
+        client.close()
+    finally:
+        handle.stop()
 
 
 def test_ticket_never_moves_backward(service):
@@ -511,3 +546,57 @@ def test_occupied_port_fails_cleanly(tmp_path, service):
                              store_path=tmp_path / "other.log")
     with pytest.raises(OSError):
         blocked.start()
+
+
+def test_thread_count_independent_of_connections(tmp_path):
+    import threading
+
+    before = threading.active_count()
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                   store_path=tmp_path / "store.log", command_timeout=5.0)
+    clients, admins = [], []
+    try:
+        for _ in range(8):
+            client = Client(handle)
+            client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+            client.recv()
+            clients.append(client)
+        for _ in range(4):
+            sock = socket.create_connection(handle.admin_address, timeout=5)
+            sock.sendall(b'{"op": "snapshot"}\n')
+            with sock.makefile("rb") as reader:
+                assert json.loads(reader.readline())["ok"]
+            admins.append(sock)
+        tickets = [handle.dispatch_command(10, wire.SwitchOpcode.SWITCH_ON) for _ in range(20)]
+        assert all(t.state is TicketState.SENT for t in tickets)
+        assert threading.active_count() <= before + 1
+    finally:
+        for client in clients:
+            client.close()
+        for sock in admins:
+            sock.close()
+        handle.stop()
+
+
+def test_stop_closes_open_connections(tmp_path):
+    import threading
+
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                   store_path=tmp_path / "store.log")
+    client = Client(handle)
+    client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    client.recv()
+    admin_sock = socket.create_connection(handle.admin_address, timeout=5)
+    admin_sock.sendall(b'{"op": "snapshot"}\n')
+    reader = admin_sock.makefile("rb")
+    assert json.loads(reader.readline())["ok"]
+    stopper = threading.Thread(target=handle.stop)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+    client.sock.settimeout(5)
+    assert client.sock.recv(4096) == b""
+    assert reader.readline() == b""
+    reader.close()
+    admin_sock.close()
+    client.close()

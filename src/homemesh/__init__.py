@@ -39,6 +39,7 @@ from .routing import (
     brute_force_route,
     find_optimal_path,
     path_distance,
+    shortest_path_tree,
 )
 from .simnet import (
     Coordinator,

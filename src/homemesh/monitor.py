@@ -19,7 +19,7 @@ import socket
 import struct
 import threading
 import time
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +37,9 @@ DEFAULT_ADMIN = ("127.0.0.1", 7008)
 # a frame repeating (seq, payload) within this many of its coordinator's stored
 # frames is a retransmit; half the 16-bit seq space, so a wrapped seq is new
 DEDUP_WINDOW = 1 << 15
+
+# terminal command tickets kept for the `ticket` op; the oldest go first
+TICKET_RETENTION = 4096
 
 
 class RecordKind(Enum):
@@ -303,6 +306,7 @@ class MonitorService:
         self._admin_clients: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._next_session_id = 1
         self._tickets: dict[int, CommandTicket] = {}
+        self._finished: deque[int] = deque()  # terminal ticket ids, oldest first
         self._next_ticket_id = 1
 
     # --- lifecycle ---------------------------------------------------------
@@ -408,6 +412,10 @@ class MonitorService:
         if _TICKET_RANK[state] < _TICKET_RANK[ticket.state]:
             return False
         ticket.state = state
+        if state in TERMINAL_STATES:
+            self._finished.append(ticket_id)
+            if len(self._finished) > TICKET_RETENTION:
+                del self._tickets[self._finished.popleft()]
         return True
 
     def _expire(self, session: _Session, seq: int, ticket_id: int) -> None:
@@ -420,7 +428,8 @@ class MonitorService:
 
         Callable from any thread. The returned ticket advances to ACKED/NACKED
         when the coordinator answers, or to TIMED_OUT after command_timeout
-        seconds.
+        seconds. Only the newest TICKET_RETENTION finished tickets stay
+        queryable by id.
         """
         if threading.current_thread() is not self._thread:
             return asyncio.run_coroutine_threadsafe(
@@ -428,14 +437,14 @@ class MonitorService:
         live = [s for s in self._sessions.values() if not s.transport.is_closing()]
         if not live:
             raise NoCoordinator("no coordinator session connected")
+        payload = wire.encode_command_payload(target_node, opcode)
         session = max(live, key=lambda s: s.id)
         ticket = CommandTicket(self._next_ticket_id, target_node, wire.SwitchOpcode(opcode))
         self._next_ticket_id += 1
         self._tickets[ticket.ticket_id] = ticket
         seq = session.next_command_seq()
         session.pending[seq] = ticket.ticket_id
-        session.send(wire.Datagram(wire.MsgType.COMMAND, seq, target_node,
-                                   wire.encode_command_payload(target_node, opcode)))
+        session.send(wire.Datagram(wire.MsgType.COMMAND, seq, target_node, payload))
         self._advance(ticket.ticket_id, TicketState.SENT)
         self._loop.call_later(self.command_timeout, self._expire, session, seq, ticket.ticket_id)
         return ticket
@@ -466,6 +475,8 @@ class MonitorService:
                     response = self._admin_dispatch(request)
                 except (ValueError, InvalidInput) as exc:
                     response = {"ok": False, "error": str(exc)}
+                except RecursionError:
+                    response = {"ok": False, "error": "request nested too deeply"}
                 except NoCoordinator as exc:
                     response = {"ok": False, "error": str(exc), "no_coordinator": True}
                 writer.write(json.dumps(response).encode() + b"\n")
@@ -476,17 +487,19 @@ class MonitorService:
             del self._admin_clients[writer]
             writer.close()
 
-    def _admin_dispatch(self, request: dict) -> dict:
+    def _admin_dispatch(self, request) -> dict:
+        if not isinstance(request, dict):
+            raise InvalidInput("request must be a JSON object")
         op = request.get("op")
         if op == "query":
             kind = request.get("kind")
             records, cursor = self.query_history(
-                src_node=request.get("node"),
+                src_node=_optional_int(request, "node"),
                 kind=RecordKind(kind) if kind is not None else None,
-                since=request.get("since"),
-                until=request.get("until"),
-                limit=request.get("limit"),
-                cursor=request.get("cursor"),
+                since=_optional_int(request, "since"),
+                until=_optional_int(request, "until"),
+                limit=_optional_int(request, "limit"),
+                cursor=_optional_int(request, "cursor"),
             )
             return {"ok": True, "records": [record_as_json(r) for r in records],
                     "cursor": cursor}
@@ -495,18 +508,25 @@ class MonitorService:
             return {"ok": True,
                     "records": [record_as_json(latest[key]) for key in sorted(latest)]}
         if op == "send-command":
-            opcode = _OPCODE_NAMES.get(request.get("opcode"))
-            if opcode is None:
+            opcode = request.get("opcode")
+            if not isinstance(opcode, str) or opcode not in _OPCODE_NAMES:
                 raise InvalidInput(f"opcode must be one of {sorted(_OPCODE_NAMES)}")
             target = request.get("target")
             if not isinstance(target, int) or isinstance(target, bool):
                 raise InvalidInput("target must be an integer node id")
-            ticket = self.dispatch_command(target, opcode)
+            ticket = self.dispatch_command(target, _OPCODE_NAMES[opcode])
             return {"ok": True, "ticket": ticket_as_json(ticket)}
         if op == "ticket":
-            ticket = self.ticket(request.get("id"))
+            ticket = self.ticket(_optional_int(request, "id"))
             return {"ok": True, "ticket": ticket_as_json(ticket)}
         raise InvalidInput(f"unknown op {op!r}")
+
+
+def _optional_int(request: dict, field: str) -> int | None:
+    value = request.get(field)
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        raise InvalidInput(f"{field} must be an integer or null, got {value!r}")
+    return value
 
 
 _OPCODE_NAMES = {

@@ -4,6 +4,14 @@ An edge (a, b) is usable only when cost[a][b] <= radius. Among feasible simple
 paths the winner minimizes, in lexicographic order: total distance, then hop
 count, then the node-id sequence itself. The hop tie-break is what makes a
 two-hop route beat an equally long three-hop one.
+
+One label search serves both kinds of query. find_optimal_path stops it when
+the destination is settled; shortest_path_tree runs it until the heap is
+empty and returns every node's route from the source. The two agree exactly,
+float ties included: a label, once settled, is never changed by the rest of
+the search, so stopping early only leaves later nodes unsettled. Callers that
+route many pairs build one tree per source and keep it only as long as the
+table and radius they built it for.
 """
 
 from __future__ import annotations
@@ -61,47 +69,77 @@ class VisitStats:
         return ranked[:count]
 
 
+def _check_radius(radius: float) -> None:
+    if not radius >= 0:  # also catches NaN
+        raise InvalidInput(f"radius must be non-negative, got {radius}")
+
+
 def _check_query(table: DistanceTable, query: RouteQuery) -> None:
     table.check_node(query.src)
     table.check_node(query.dst)
-    if not query.radius >= 0:  # also catches NaN
-        raise InvalidInput(f"radius must be non-negative, got {query.radius}")
+    _check_radius(query.radius)
+
+
+def _label_search(table: DistanceTable, src: int, radius: float, stop: int | None = None):
+    """The (dist, hops, path) label settled for each node id, None if unreached.
+
+    Dijkstra over the radius-pruned edge set with composite labels: heap
+    entries compare as (distance so far, hops so far, node sequence), so the
+    first label popped for a node is its global optimum. The search returns
+    as soon as `stop` is settled; without a stop it settles every reachable
+    node. A push is skipped unless its label is strictly below the best one
+    already queued for that node, which never removes a node's minimum.
+    """
+    cost = table.cost
+    n = table.n
+    settled: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (n + 1)
+    queued: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (n + 1)
+    heap = [(0.0, 0, (src,))]
+    while heap:
+        label = heapq.heappop(heap)
+        dist, hops, path = label
+        node = path[-1]
+        if settled[node] is not None:
+            continue
+        settled[node] = label
+        if node == stop:
+            break
+        for nxt, edge in enumerate(cost[node - 1], 1):
+            if edge <= radius and settled[nxt] is None:
+                candidate = (dist + edge, hops + 1, path + (nxt,))
+                best = queued[nxt]
+                if best is None or candidate < best:
+                    queued[nxt] = candidate
+                    heapq.heappush(heap, candidate)
+    return settled
 
 
 def find_optimal_path(table: DistanceTable, query: RouteQuery) -> Route:
     """Best route by (dist, hops, path) order, every hop within the radius.
 
-    Dijkstra over the radius-pruned edge set with composite labels: heap
-    entries compare as (distance so far, hops so far, node sequence), so the
-    first time the destination is settled its label is the global optimum.
-    Costs are read in travel direction; directed tables are fine.
+    One label search from the source that stops when the destination is
+    settled. Costs are read in travel direction; directed tables are fine.
 
     Raises NoPath when the destination is unreachable under the radius.
     """
     _check_query(table, query)
-    src, dst, radius = query.src, query.dst, query.radius
-    if src == dst:
-        return Route((src,), 0.0, 0)
-    cost = table.cost
-    n = table.n
-    settled = [False] * (n + 1)
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (src,))]
-    while heap:
-        dist, hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if settled[node]:
-            continue
-        settled[node] = True
-        if node == dst:
-            return Route(path, dist, hops)
-        row = cost[node - 1]
-        for nxt in range(1, n + 1):
-            if settled[nxt] or nxt == node:
-                continue
-            edge = row[nxt - 1]
-            if edge <= radius:
-                heapq.heappush(heap, (dist + edge, hops + 1, path + (nxt,)))
-    raise NoPath(src, dst, radius)
+    label = _label_search(table, query.src, query.radius, stop=query.dst)[query.dst]
+    if label is None:
+        raise NoPath(query.src, query.dst, query.radius)
+    dist, hops, path = label
+    return Route(path, dist, hops)
+
+
+def shortest_path_tree(table: DistanceTable, src: int,
+                       radius: float) -> list[tuple[int, ...] | None]:
+    """Every node's best route from `src`, indexed by node id.
+
+    Entry v is the path find_optimal_path returns for (src, v, radius), or
+    None when v is unreachable; entry 0 is always None.
+    """
+    table.check_node(src)
+    _check_radius(radius)
+    return [label and label[2] for label in _label_search(table, src, radius)]
 
 
 def brute_force_route(table: DistanceTable, query: RouteQuery) -> Route:
@@ -165,17 +203,23 @@ def path_distance(table: DistanceTable, path) -> float:
 def tally_pairs(table: DistanceTable, pairs, radius: float, mode: CountingMode) -> VisitStats:
     """Route each (src, dst) pair in order and tally per-node visits and relays.
 
+    One shortest-path tree per distinct source serves every pair from it.
     Unreachable pairs contribute nothing to the counts and are reported in
     `unreachable`. The relay tallies feed the top-relays ranking.
     """
     counts = {node: 0 for node in table.nodes}
     relay_counts = {node: 0 for node in table.nodes}
+    trees: dict[int, list] = {}
     delivered = 0
     unreachable = 0
     for src, dst in pairs:
-        try:
-            path = find_optimal_path(table, RouteQuery(src, dst, radius)).path
-        except NoPath:
+        table.check_node(src)
+        table.check_node(dst)
+        tree = trees.get(src)
+        if tree is None:
+            tree = trees[src] = shortest_path_tree(table, src, radius)
+        path = tree[dst]
+        if path is None:
             unreachable += 1
             continue
         delivered += 1
@@ -187,9 +231,8 @@ def tally_pairs(table: DistanceTable, pairs, radius: float, mode: CountingMode) 
 
 
 def all_pairs_profile(table: DistanceTable, radius: float, mode: CountingMode) -> VisitStats:
-    """Route every ordered pair once and tally the visits analytically."""
+    """Route every ordered pair once and tally the visits."""
     if table.n < 2:
         raise InvalidInput("profile needs at least 2 nodes")
-    if not radius >= 0:  # also catches NaN
-        raise InvalidInput(f"radius must be non-negative, got {radius}")
+    _check_radius(radius)
     return tally_pairs(table, itertools.permutations(table.nodes, 2), radius, mode)

@@ -14,15 +14,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import wire
-from .errors import InvalidInput, MisroutedFrame, NoPath, UnknownNode
+from .errors import InvalidInput, MisroutedFrame, UnknownNode
 from .netmodel import DistanceTable, Topology, table_from_positions
-from .routing import (
-    CountingMode,
-    RouteQuery,
-    VisitStats,
-    find_optimal_path,
-    tally_pairs,
-)
+from .routing import CountingMode, VisitStats, shortest_path_tree, tally_pairs
 
 MAX_FRAME_PAYLOAD = 96  # small-frame discipline for the radio side
 
@@ -297,6 +291,7 @@ class Coordinator:
         self.node_id = node_id
         self._seq = 0
         self._pending: dict[int, deque[int]] = {}
+        self._tree: list | None = None  # routes from node_id, built on the first command
 
     def _next_seq(self) -> int:
         seq = self._seq
@@ -334,16 +329,17 @@ class Coordinator:
         nack = wire.Datagram(wire.MsgType.NACK, d.seq, target)
         if not 1 <= target <= self.table.n or target == self.node_id:
             return [nack], []
-        try:
-            route = find_optimal_path(self.table, RouteQuery(self.node_id, target, self.radius))
-        except NoPath:
+        if self._tree is None:
+            self._tree = shortest_path_tree(self.table, self.node_id, self.radius)
+        path = self._tree[target]
+        if path is None:
             return [nack], []
         frame = RadioFrame(
             src=self.node_id,
             dst=target,
             kind=FrameKind.COMMAND,
             payload=d.payload,  # preserved byte-for-byte
-            route=route.path,
+            route=path,
             hop_index=1,
         )
         self._pending.setdefault(target, deque()).append(d.seq)
@@ -381,6 +377,7 @@ class SimNetwork:
         self.trace: list[tuple[int, str, int, int, str]] = []
         self.readings_emitted = 0
         self.frames_dropped = 0
+        self._trees: dict[int, list] = {}  # shortest-path tree per source, built on first use
 
     # --- inputs -----------------------------------------------------------
 
@@ -410,16 +407,20 @@ class SimNetwork:
         """Attach a route to a node-originated frame and put it on the air."""
         if frame.src == frame.dst:
             return
-        try:
-            route = find_optimal_path(self.topology.table,
-                                      RouteQuery(frame.src, frame.dst, self.radius))
-        except NoPath:
+        table = self.topology.table
+        table.check_node(frame.src)
+        table.check_node(frame.dst)
+        tree = self._trees.get(frame.src)
+        if tree is None:
+            tree = self._trees[frame.src] = shortest_path_tree(table, frame.src, self.radius)
+        path = tree[frame.dst]
+        if path is None:
             self.frames_dropped += 1
             self._log("drop", frame.src, frame.dst, f"no-route kind={frame.kind.value}")
             return
-        routed = replace(frame, route=route.path, hop_index=1)
+        routed = replace(frame, route=path, hop_index=1)
         self._log("send", frame.src, frame.dst,
-                  f"kind={frame.kind.value} route={'-'.join(map(str, route.path))}")
+                  f"kind={frame.kind.value} route={'-'.join(map(str, path))}")
         self._schedule(routed)
 
     def step(self) -> None:

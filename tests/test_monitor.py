@@ -1,10 +1,11 @@
 import json
+import logging
 import socket
 import time
 
 import pytest
 
-from homemesh import wire
+from homemesh import monitor, wire
 from homemesh.errors import InvalidInput, NoCoordinator
 from homemesh.monitor import (
     MonitorService,
@@ -359,6 +360,36 @@ def test_timed_out_command_clears_pending(tmp_path):
         handle.stop()
 
 
+def test_finished_tickets_are_bounded(service, monkeypatch):
+    monkeypatch.setattr(monitor, "TICKET_RETENTION", 3)
+    client = Client(service)
+    client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    client.recv()
+    tickets = []
+    for _ in range(5):
+        tickets.append(service.dispatch_command(10, wire.SwitchOpcode.SWITCH_ON))
+        (command,) = client.recv()
+        client.send(wire.Datagram(wire.MsgType.ACK, command.seq, 10))
+    assert wait_for(lambda: all(t.state is TicketState.ACKED for t in tickets))
+    assert len(service._tickets) == 3
+    assert service.ticket(tickets[-1].ticket_id) is tickets[-1]
+    with pytest.raises(InvalidInput):
+        service.ticket(tickets[0].ticket_id)
+    client.close()
+
+
+def test_unencodable_command_leaves_no_ticket(service):
+    client = Client(service)
+    client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    client.recv()
+    with pytest.raises(InvalidInput):
+        service.dispatch_command(300, wire.SwitchOpcode.SWITCH_ON)
+    assert service._tickets == {}
+    (session,) = service._sessions.values()
+    assert session.pending == {}
+    client.close()
+
+
 def test_ticket_never_moves_backward(service):
     client = Client(service)
     client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
@@ -467,6 +498,25 @@ def test_admin_errors(service):
     no_coordinator = admin(service, {"op": "send-command", "target": 10, "opcode": "on"})
     assert no_coordinator["ok"] is False and no_coordinator.get("no_coordinator")
     assert admin(service, {"op": "query", "limit": -3})["ok"] is False
+
+
+def test_admin_malformed_requests_keep_the_connection(service, caplog):
+    malformed = [
+        b"[1]",
+        b'{"op": "query", "since": "x"}',
+        b'{"op": "query", "limit": true}',
+        b'{"op": "ticket", "id": [1]}',
+        b'{"op": "send-command", "target": 10, "opcode": [1]}',
+        b"[" * 50_000,
+    ]
+    with socket.create_connection(service.admin_address, timeout=5) as sock, \
+            sock.makefile("rb") as reader:
+        for line in malformed:
+            sock.sendall(line + b"\n")
+            assert json.loads(reader.readline())["ok"] is False
+        sock.sendall(b'{"op": "snapshot"}\n')
+        assert json.loads(reader.readline())["ok"] is True
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 def test_discovery_report_acked_but_not_stored(service):

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from homemesh.routing import (
     brute_force_route,
     find_optimal_path,
     path_distance,
+    shortest_path_tree,
 )
 
 from conftest import random_symmetric_table
@@ -28,6 +31,11 @@ from reference_impls import enum_best_route
 PROFILE_K5_TRANSMITTERS = {1: 9, 2: 9, 3: 25, 4: 9, 5: 23, 6: 17, 7: 19, 8: 9, 9: 9, 10: 11}
 PROFILE_K5_ALL_NODES = {1: 18, 2: 18, 3: 34, 4: 18, 5: 32, 6: 26, 7: 28, 8: 18, 9: 18, 10: 20}
 PROFILE_K5_RELAY = {1: 0, 2: 0, 3: 16, 4: 0, 5: 14, 6: 8, 7: 10, 8: 0, 9: 0, 10: 2}
+
+# sha256 of "src dst path" lines for every ordered pair on planar60_table() at
+# radius 18, recorded from the per-pair early-stop search before any caller
+# used shortest-path trees (118 pairs unreachable, routes up to 15 hops)
+PLANAR60_K18_ROUTES = "74a18d224f94c8f5311db370f085ce8260538ae096777e61bae40829dc0a96c7"
 
 
 def as_tuple(route):
@@ -293,3 +301,83 @@ def test_profile_conservation(table1):
     everyone = all_pairs_profile(table1, 5, CountingMode.ALL_PATH_NODES)
     # each delivered route counts exactly one more node under ALL_PATH_NODES
     assert sum(everyone.counts.values()) - sum(transmitters.counts.values()) == 90
+
+
+# --- shortest-path trees ----------------------------------------------------------
+
+
+tied_costs = st.sampled_from([0.1, 0.2, 0.3, 1.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def cost_rows(draw):
+    """Square cost matrices, n <= 7, directed or symmetric, with many tied sums."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    symmetric = draw(st.booleans())
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and not (symmetric and j < i):
+                rows[i][j] = draw(tied_costs)
+                if symmetric:
+                    rows[j][i] = rows[i][j]
+    return rows
+
+
+@given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_tree_paths_match_enumeration(rows, radius):
+    table = DistanceTable.from_rows(rows)
+    for src in table.nodes:
+        tree = shortest_path_tree(table, src, radius)
+        assert len(tree) == table.n + 1 and tree[0] is None
+        for dst in table.nodes:
+            best = enum_best_route(table.cost, src, dst, radius)
+            assert tree[dst] == (None if best is None else best[2])
+
+
+def planar60_table():
+    """60 nodes at integer points of a 100 x 100 square; costs are exact sqrt."""
+    rng = random.Random(60)
+    points = [(rng.randint(0, 100), rng.randint(0, 100)) for _ in range(60)]
+    return DistanceTable.from_rows(
+        [[math.sqrt((ax - bx) ** 2 + (ay - by) ** 2) for bx, by in points] for ax, ay in points]
+    )
+
+
+def routes_digest(table, route_of):
+    digest = hashlib.sha256()
+    for src in table.nodes:
+        for dst in table.nodes:
+            digest.update(f"{src} {dst} {route_of(src, dst)}\n".encode())
+    return digest.hexdigest()
+
+
+def test_frozen_routes_on_planar_net():
+    table = planar60_table()
+    trees = {}
+
+    def tree_path(src, dst):
+        if src not in trees:
+            trees[src] = shortest_path_tree(table, src, 18)
+        return trees[src][dst]
+
+    def query_path(src, dst):
+        try:
+            return find_optimal_path(table, RouteQuery(src, dst, 18)).path
+        except NoPath:
+            return None
+
+    assert routes_digest(table, tree_path) == PLANAR60_K18_ROUTES
+    assert routes_digest(table, query_path) == PLANAR60_K18_ROUTES
+
+
+def test_tree_validation(table1):
+    with pytest.raises(UnknownNode):
+        shortest_path_tree(table1, 11, 5)
+    with pytest.raises(UnknownNode):
+        shortest_path_tree(table1, True, 5)
+    with pytest.raises(InvalidInput):
+        shortest_path_tree(table1, 1, float("nan"))
+    with pytest.raises(InvalidInput):
+        shortest_path_tree(table1, 1, -1)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from homemesh import wire
+from homemesh import routing, simnet, wire
 from homemesh.errors import InvalidInput, MisroutedFrame, UnknownNode
 from homemesh.netmodel import Topology, topology_from_positions, validate_table
 from homemesh.routing import CountingMode, RouteQuery, brute_force_route
@@ -454,3 +454,42 @@ def test_network_alarm_unknown_node(table1_topology):
     net = build_net(table1_topology)
     with pytest.raises(UnknownNode):
         net.inject_alarm(99, "1234181131010158")
+
+
+# --- one label search per source ----------------------------------------------
+
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """Record the source of every shortest_path_tree call made through either module."""
+    calls = []
+    original = routing.shortest_path_tree
+
+    def counted(table, src, radius):
+        calls.append(src)
+        return original(table, src, radius)
+
+    monkeypatch.setattr(routing, "shortest_path_tree", counted)
+    monkeypatch.setattr(simnet, "shortest_path_tree", counted)
+    return calls
+
+
+def test_profile_builds_one_tree_per_source(table1, tree_calls):
+    routing.all_pairs_profile(table1, 5, CountingMode.TRANSMITTERS_ONLY)
+    assert sorted(tree_calls) == list(table1.nodes)
+
+
+def test_traffic_builds_one_tree_per_distinct_source(table1_topology, tree_calls):
+    run_traffic(table1_topology, SimConfig(5, 500, 123))
+    sources = {src for src, _dst in draw_pairs(10, 500, 123)}
+    assert sorted(tree_calls) == sorted(sources)
+
+
+def test_network_builds_at_most_one_tree_per_node(table1_topology, tree_calls):
+    net = build_net(table1_topology)
+    net.inject_datagram(wire.Datagram(wire.MsgType.COMMAND, 5, 10,
+                                      wire.encode_command_payload(10, wire.SwitchOpcode.SWITCH_ON)))
+    net.run(200)
+    assert net.nodes[10].relay_switch is SwitchState.ON
+    assert net.readings_emitted > table1_topology.n
+    assert len(tree_calls) <= table1_topology.n

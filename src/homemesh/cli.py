@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admin", type=_parse_addr, default=monitor.DEFAULT_ADMIN,
                    metavar="HOST:PORT")
     p.add_argument("--store", default="monitor-store.log")
-    p.add_argument("--command-timeout", type=float, default=5.0)
+    p.add_argument("--command-timeout", type=float, default=monitor.DEFAULT_COMMAND_TIMEOUT)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("send-command", help="dispatch a switch command via a running service")
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alarm-node", type=int, default=7)
     p.add_argument("--port", type=int, default=0, help="monitor port (0 = ephemeral)")
     p.add_argument("--store", default=None)
-    p.add_argument("--command-timeout", type=float, default=5.0)
+    p.add_argument("--command-timeout", type=float, default=monitor.DEFAULT_COMMAND_TIMEOUT)
     p.set_defaults(func=cmd_demo)
 
     return parser

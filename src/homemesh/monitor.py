@@ -1,11 +1,13 @@
 """Monitoring-center service: ingests framed datagrams over TCP, persists them
 in an append-only log, answers history/live queries, and dispatches commands.
 
-Every socket and timer runs on one asyncio event loop in one thread, so store
-writes are serialized by the loop itself. Any number of coordinator sessions
-may be connected, and a malformed session is closed without touching the
-others. A second listener speaks a line-delimited JSON admin protocol for
-queries, snapshots, and command dispatch.
+Every socket and timer runs on one asyncio event loop in one thread, the only
+thread that touches the store, the sessions and the tickets, so none needs a
+lock; public methods called from other threads hop onto the loop. Any number
+of coordinator sessions may be connected, and a malformed session is closed
+without touching the others. A second listener speaks a line-delimited JSON
+admin protocol for queries, snapshots, and command dispatch. A history page
+starts at its cursor, so it costs the records after the cursor, not the store.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ RECORD_HEADER = struct.Struct(">QHI")
 
 DEFAULT_LISTEN = ("127.0.0.1", 7007)
 DEFAULT_ADMIN = ("127.0.0.1", 7008)
+DEFAULT_COMMAND_TIMEOUT = 5.0  # seconds a command waits for its ACK or NACK
 
 # a frame repeating (seq, payload) within this many of its coordinator's stored
 # frames is a retransmit; half the 16-bit seq space, so a wrapped seq is new
@@ -78,14 +81,6 @@ class TicketState(Enum):
     TIMED_OUT = "timed-out"
 
 
-_TICKET_RANK = {
-    TicketState.QUEUED: 0,
-    TicketState.SENT: 1,
-    TicketState.ACKED: 2,
-    TicketState.NACKED: 2,
-    TicketState.TIMED_OUT: 2,
-}
-
 TERMINAL_STATES = (TicketState.ACKED, TicketState.NACKED, TicketState.TIMED_OUT)
 
 
@@ -122,12 +117,12 @@ class RecordStore:
     One record on disk is RECORD_HEADER followed by the encoded datagram.
     A torn tail from a crashed writer is truncated away on open. A frame is a
     duplicate, and is not stored again, when its coordinator stored the same
-    (seq, payload hash) among its last DEDUP_WINDOW stored frames.
+    (seq, payload hash) among its last DEDUP_WINDOW stored frames. A store holds
+    no lock: use it from one thread (MonitorService uses its loop thread).
     """
 
     def __init__(self, path):
         self._path = str(path)
-        self._lock = threading.RLock()
         self._records: list[SensorRecord] = []
         # per coordinator: (seq, payload hash) -> record, oldest first
         self._recent: defaultdict[int, OrderedDict[tuple[int, bytes], SensorRecord]] = \
@@ -177,18 +172,17 @@ class RecordStore:
         the existing record with created=False and writes nothing."""
         raw = wire.encode_datagram(d)
         key = _dedup_key(d)
-        with self._lock:
-            existing = self._recent.get(coordinator_id, {}).get(key)
-            if existing is not None:
-                return existing, False
-            if received_at is None:
-                received_at = time.time_ns()
-                if self._records and received_at <= self._records[-1].received_at:
-                    received_at = self._records[-1].received_at + 1
-            self._file.write(RECORD_HEADER.pack(received_at, coordinator_id, len(raw)))
-            self._file.write(raw)
-            self._file.flush()
-            return self._index(received_at, coordinator_id, d, key), True
+        existing = self._recent.get(coordinator_id, {}).get(key)
+        if existing is not None:
+            return existing, False
+        if received_at is None:
+            received_at = time.time_ns()
+            if self._records and received_at <= self._records[-1].received_at:
+                received_at = self._records[-1].received_at + 1
+        self._file.write(RECORD_HEADER.pack(received_at, coordinator_id, len(raw)))
+        self._file.write(raw)
+        self._file.flush()
+        return self._index(received_at, coordinator_id, d, key), True
 
     def query(self, src_node=None, kind=None, since=None, until=None,
               limit=None, cursor=None) -> tuple[list[SensorRecord], int | None]:
@@ -196,17 +190,19 @@ class RecordStore:
 
         The cursor is the record_id of the last row already seen; the second
         return value is the cursor for the next page, or None at the end.
+        Record ids are dense (record_id == index + 1): a page starts at cursor.
         """
         if limit is not None and (not isinstance(limit, int) or limit < 0):
             raise InvalidInput(f"limit must be a non-negative integer, got {limit!r}")
         if kind is not None and not isinstance(kind, RecordKind):
             raise InvalidInput(f"kind must be a RecordKind, got {kind!r}")
-        with self._lock:
-            records = list(self._records)
+        if cursor is not None and not isinstance(cursor, int):
+            raise InvalidInput(f"cursor must be an integer, got {cursor!r}")
+        records = self._records
+        start = max(cursor or 0, 0)
         out: list[SensorRecord] = []
-        for record in records:
-            if cursor is not None and record.record_id <= cursor:
-                continue
+        for index in range(start, len(records)):
+            record = records[index]
             if src_node is not None and record.src_node != src_node:
                 continue
             if kind is not None and record.kind is not kind:
@@ -216,24 +212,21 @@ class RecordStore:
             if until is not None and record.received_at > until:
                 continue
             if limit is not None and len(out) == limit:
-                return out, out[-1].record_id
+                return out, out[-1].record_id if out else start
             out.append(record)
         return out, None
 
     def snapshot(self) -> dict[tuple[int, int], SensorRecord]:
         """Most recent record per (coordinator_id, src_node)."""
-        with self._lock:
-            return dict(self._latest)
+        return dict(self._latest)
 
     @property
     def max_coordinator_id(self) -> int:
-        with self._lock:
-            return max(self._recent, default=0)
+        return max(self._recent, default=0)
 
     def close(self) -> None:
-        with self._lock:
-            self._file.flush()
-            self._file.close()
+        self._file.flush()
+        self._file.close()
 
 
 class _Session(asyncio.Protocol):
@@ -249,6 +242,8 @@ class _Session(asyncio.Protocol):
 
     def connection_made(self, transport) -> None:
         self.transport = transport
+        # asyncio sets this only where sock.proto is IPPROTO_TCP; accepted sockets report 0
+        transport.get_extra_info("socket").setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.service._sessions[self.id] = self
         log.info("coordinator session %d from %s", self.id, transport.get_extra_info("peername"))
 
@@ -279,19 +274,12 @@ class _Session(asyncio.Protocol):
         self._command_seq = (self._command_seq + 1) & 0xFFFF
         return seq
 
-    def send(self, d: wire.Datagram) -> None:
-        self.transport.write(wire.encode_datagram(d))
-
-
-async def _call(fn, *args):
-    return fn(*args)
-
 
 class MonitorService:
     """The running service; use serve() or start()/stop() directly."""
 
     def __init__(self, listen=DEFAULT_LISTEN, admin=DEFAULT_ADMIN,
-                 store_path="monitor-store.log", command_timeout: float = 5.0):
+                 store_path="monitor-store.log", command_timeout=DEFAULT_COMMAND_TIMEOUT):
         self._listen_addr = tuple(listen)
         self._admin_addr = tuple(admin)
         self._store_path = store_path
@@ -368,6 +356,18 @@ class MonitorService:
     def admin_address(self):
         return self._admin_listener.getsockname() if self._admin_listener else self._admin_addr
 
+    def _on_loop(self, fn, *args):
+        """fn(*args) on the loop thread; at once if that is this thread or no
+        loop thread is alive (before start(), after stop())."""
+        thread = self._thread
+        if thread is None or thread is threading.current_thread() or not thread.is_alive():
+            return fn(*args)
+
+        async def call():
+            return fn(*args)
+
+        return asyncio.run_coroutine_threadsafe(call(), self._loop).result()
+
     # --- coordinator sessions ----------------------------------------------
 
     def _new_session(self) -> _Session:
@@ -409,8 +409,6 @@ class MonitorService:
         ticket = self._tickets.get(ticket_id)
         if ticket is None or ticket.state in TERMINAL_STATES:
             return False
-        if _TICKET_RANK[state] < _TICKET_RANK[ticket.state]:
-            return False
         ticket.state = state
         if state in TERMINAL_STATES:
             self._finished.append(ticket_id)
@@ -426,14 +424,13 @@ class MonitorService:
     def dispatch_command(self, target_node: int, opcode: wire.SwitchOpcode) -> CommandTicket:
         """Frame and send a COMMAND to the newest coordinator session.
 
-        Callable from any thread. The returned ticket advances to ACKED/NACKED
-        when the coordinator answers, or to TIMED_OUT after command_timeout
-        seconds. Only the newest TICKET_RETENTION finished tickets stay
-        queryable by id.
+        The returned ticket advances to ACKED/NACKED when the coordinator
+        answers, or to TIMED_OUT after command_timeout seconds. Only the
+        newest TICKET_RETENTION finished tickets stay queryable by id.
         """
-        if threading.current_thread() is not self._thread:
-            return asyncio.run_coroutine_threadsafe(
-                _call(self.dispatch_command, target_node, opcode), self._loop).result()
+        return self._on_loop(self._dispatch_command, target_node, opcode)
+
+    def _dispatch_command(self, target_node: int, opcode: wire.SwitchOpcode) -> CommandTicket:
         live = [s for s in self._sessions.values() if not s.transport.is_closing()]
         if not live:
             raise NoCoordinator("no coordinator session connected")
@@ -444,13 +441,14 @@ class MonitorService:
         self._tickets[ticket.ticket_id] = ticket
         seq = session.next_command_seq()
         session.pending[seq] = ticket.ticket_id
-        session.send(wire.Datagram(wire.MsgType.COMMAND, seq, target_node, payload))
+        session.transport.write(wire.encode_datagram(
+            wire.Datagram(wire.MsgType.COMMAND, seq, target_node, payload)))
         self._advance(ticket.ticket_id, TicketState.SENT)
         self._loop.call_later(self.command_timeout, self._expire, session, seq, ticket.ticket_id)
         return ticket
 
     def ticket(self, ticket_id: int) -> CommandTicket:
-        ticket = self._tickets.get(ticket_id)
+        ticket = self._on_loop(self._tickets.get, ticket_id)
         if ticket is None:
             raise InvalidInput(f"unknown ticket id {ticket_id}")
         return ticket
@@ -458,10 +456,10 @@ class MonitorService:
     # --- queries -------------------------------------------------------------
 
     def query_history(self, **kwargs):
-        return self.store.query(**kwargs)
+        return self._on_loop(lambda: self.store.query(**kwargs))
 
     def live_snapshot(self):
-        return self.store.snapshot()
+        return self._on_loop(lambda: self.store.snapshot())
 
     # --- admin protocol --------------------------------------------------------
 
@@ -570,6 +568,6 @@ def ticket_as_json(ticket: CommandTicket) -> dict:
 
 
 def serve(listen=DEFAULT_LISTEN, admin=DEFAULT_ADMIN, store_path="monitor-store.log",
-          command_timeout: float = 5.0) -> MonitorService:
+          command_timeout: float = DEFAULT_COMMAND_TIMEOUT) -> MonitorService:
     """Start the monitoring service and return the running handle."""
     return MonitorService(listen, admin, store_path, command_timeout).start()

@@ -77,8 +77,6 @@ def synthetic_reading(node_id: int, tick: int, seed: int = 0) -> int:
 class FrameKind(Enum):
     SENSOR_READING = "sensor-reading"
     COMMAND = "command"
-    DISCOVERY_REQUEST = "discovery-request"
-    DISCOVERY_REPORT = "discovery-report"
     ALARM = "alarm"
 
 

@@ -1,9 +1,14 @@
 import json
 import logging
+import os
 import socket
+import tempfile
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homemesh import monitor, wire
 from homemesh.errors import InvalidInput, NoCoordinator
@@ -650,3 +655,129 @@ def test_stop_closes_open_connections(tmp_path):
     reader.close()
     admin_sock.close()
     client.close()
+
+
+# --- thread confinement and query oracle ---------------------------------------
+
+
+def test_store_runs_on_the_loop_thread(service, monkeypatch):
+    ran_on = []
+
+    def recording(method):
+        def wrapper(*args, **kwargs):
+            ran_on.append(threading.current_thread())
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(service.store, "query", recording(service.store.query))
+    monkeypatch.setattr(service.store, "snapshot", recording(service.store.snapshot))
+    service.query_history(limit=5)
+    service.live_snapshot()
+    assert ran_on == [service._thread, service._thread]
+    assert service._thread is not threading.current_thread()
+
+
+def test_query_after_stop_answers(tmp_path):
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                   store_path=tmp_path / "store.log")
+    client = Client(handle)
+    client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    client.recv()
+    client.close()
+    handle.stop()
+    answers = []
+    reader = threading.Thread(
+        target=lambda: answers.append((handle.query_history(), handle.live_snapshot())))
+    reader.start()
+    reader.join(timeout=5)
+    assert not reader.is_alive()
+    (records, cursor), snapshot = answers[0]
+    assert [r.kind for r in records] == [RecordKind.HEARTBEAT] and cursor is None
+    assert list(snapshot.values()) == records
+
+
+def test_sessions_set_tcp_nodelay(service):
+    client = Client(service)
+    client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    client.recv()
+    (session,) = service._on_loop(lambda: list(service._sessions.values()))
+    sock = session.transport.get_extra_info("socket")
+    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    client.close()
+
+
+def test_admin_query_limit_zero(service):
+    client = Client(service)
+    client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    client.recv()
+    client.close()
+    assert admin(service, {"op": "query", "limit": 0}) == \
+        {"ok": True, "records": [], "cursor": 0}
+    assert admin(service, {"op": "query", "limit": 0, "cursor": 1}) == \
+        {"ok": True, "records": [], "cursor": None}
+
+
+_KINDS = [wire.MsgType.SENSOR_DATA, wire.MsgType.ALARM_CID, wire.MsgType.HEARTBEAT]
+
+stored_records = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=2),   # coordinator
+              st.integers(min_value=1, max_value=4),   # src node
+              st.sampled_from(_KINDS),
+              st.integers(min_value=0, max_value=20)),  # received_at, not monotone
+    max_size=30)
+
+history_queries = st.fixed_dictionaries({
+    "src_node": st.none() | st.integers(min_value=1, max_value=5),
+    "kind": st.none() | st.sampled_from(list(RecordKind)),
+    "since": st.none() | st.integers(min_value=-1, max_value=21),
+    "until": st.none() | st.integers(min_value=-1, max_value=21),
+    "limit": st.none() | st.integers(min_value=0, max_value=8),
+    # before the first record, at 0, inside the store and past its end
+    "cursor": st.one_of(st.none(), st.integers(min_value=-5, max_value=-1), st.just(0),
+                        st.integers(min_value=1, max_value=35), st.just(10**9)),
+})
+
+
+def naive_query(records, src_node, kind, since, until, limit, cursor):
+    matches = [r for r in records
+               if (cursor is None or r.record_id > cursor)
+               and (src_node is None or r.src_node == src_node)
+               and (kind is None or r.kind is kind)
+               and (since is None or r.received_at >= since)
+               and (until is None or r.received_at <= until)]
+    if limit is None or len(matches) <= limit:
+        return matches, None
+    page = matches[:limit]
+    return page, page[-1].record_id if page else max(cursor or 0, 0)
+
+
+@given(stored_records, history_queries)
+@settings(max_examples=200, deadline=None)
+def test_store_query_matches_naive_filter(specs, query):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = RecordStore(os.path.join(tmp, "s.log"))
+        records = []
+        for seq, (coordinator, node, msg_type, received_at) in enumerate(specs):
+            payload = VALID_CID if msg_type is wire.MsgType.ALARM_CID else bytes([seq])
+            record, created = store.append(
+                coordinator, wire.Datagram(msg_type, seq, node, payload), received_at=received_at)
+            assert created
+            records.append(record)
+        assert [r.record_id for r in records] == list(range(1, len(records) + 1))
+
+        assert store.query(**query) == naive_query(records, **query)
+
+        if query["limit"]:
+            unpaged, _ = store.query(**dict(query, limit=None, cursor=None))
+            followed, cursor = [], None
+            while True:
+                page, cursor = store.query(**dict(query, cursor=cursor))
+                followed.extend(page)
+                if cursor is None:
+                    break
+            assert followed == unpaged
+
+        for cursor in ("3", 1.5):
+            with pytest.raises(InvalidInput):
+                store.query(cursor=cursor)
+        store.close()

@@ -27,7 +27,7 @@ from .routing import (
     brute_force_route,
     find_optimal_path,
 )
-from .simnet import SimConfig, SimNetwork, run_discovery, run_traffic
+from .simnet import SimConfig, SimNetwork, run_discovery, run_traffic, trace_line
 
 
 def _fmt(value: float) -> str:
@@ -80,8 +80,7 @@ def cmd_discover(args) -> int:
         print(f"wrote {args.out}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for tick, event, src, dst, detail in trace:
-                fh.write(f"{tick}\t{event}\t{src}\t{dst}\t{detail}\n")
+            fh.writelines(trace_line(*event) + "\n" for event in trace)
     return 0
 
 

@@ -13,7 +13,6 @@ starts at its cursor, so it costs the records after the cursor, not the store.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import logging
 import os
@@ -107,24 +106,20 @@ def _build_record(record_id, received_at, coordinator_id, d: wire.Datagram) -> S
                         d.seq, kind, d.payload, cid, cid_error)
 
 
-def _dedup_key(d: wire.Datagram) -> tuple[int, bytes]:
-    return d.seq, hashlib.sha256(d.payload).digest()
-
-
 class RecordStore:
     """Append-only datagram log with in-memory indexes rebuilt on open.
 
     One record on disk is RECORD_HEADER followed by the encoded datagram.
     A torn tail from a crashed writer is truncated away on open. A frame is a
     duplicate, and is not stored again, when its coordinator stored the same
-    (seq, payload hash) among its last DEDUP_WINDOW stored frames. A store holds
+    (seq, payload) among its last DEDUP_WINDOW stored frames. A store holds
     no lock: use it from one thread (MonitorService uses its loop thread).
     """
 
     def __init__(self, path):
         self._path = str(path)
         self._records: list[SensorRecord] = []
-        # per coordinator: (seq, payload hash) -> record, oldest first
+        # per coordinator: (seq, payload) -> record, oldest first
         self._recent: defaultdict[int, OrderedDict[tuple[int, bytes], SensorRecord]] = \
             defaultdict(OrderedDict)
         self._latest: dict[tuple[int, int], SensorRecord] = {}
@@ -151,7 +146,7 @@ class RecordStore:
             except wire.ProtocolError:
                 log.warning("%s: corrupt record at byte %d, truncating", self._path, offset)
                 break
-            self._index(received_at, coordinator_id, datagram, _dedup_key(datagram))
+            self._index(received_at, coordinator_id, datagram, (datagram.seq, datagram.payload))
             offset = end
             valid = end
         return valid
@@ -171,7 +166,7 @@ class RecordStore:
         """Persist one datagram; returns (record, created). A duplicate returns
         the existing record with created=False and writes nothing."""
         raw = wire.encode_datagram(d)
-        key = _dedup_key(d)
+        key = (d.seq, d.payload)
         existing = self._recent.get(coordinator_id, {}).get(key)
         if existing is not None:
             return existing, False
@@ -405,16 +400,15 @@ class MonitorService:
             return
         self._advance(ticket_id, state)
 
-    def _advance(self, ticket_id: int, state: TicketState) -> bool:
+    def _advance(self, ticket_id: int, state: TicketState) -> None:
         ticket = self._tickets.get(ticket_id)
         if ticket is None or ticket.state in TERMINAL_STATES:
-            return False
+            return
         ticket.state = state
         if state in TERMINAL_STATES:
             self._finished.append(ticket_id)
             if len(self._finished) > TICKET_RETENTION:
                 del self._tickets[self._finished.popleft()]
-        return True
 
     def _expire(self, session: _Session, seq: int, ticket_id: int) -> None:
         if session.pending.get(seq) == ticket_id:

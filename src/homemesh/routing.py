@@ -9,9 +9,9 @@ One label search serves both kinds of query. find_optimal_path stops it when
 the destination is settled; shortest_path_tree runs it until the heap is
 empty and returns every node's route from the source. The two agree exactly,
 float ties included: a label, once settled, is never changed by the rest of
-the search, so stopping early only leaves later nodes unsettled. Callers that
-route many pairs build one tree per source and keep it only as long as the
-table and radius they built it for.
+the search, so stopping early only leaves later nodes unsettled. Routes is
+the one owner of trees: callers that route many pairs on a table at a radius
+ask one Routes object, which builds each source's tree on first use.
 """
 
 from __future__ import annotations
@@ -142,6 +142,29 @@ def shortest_path_tree(table: DistanceTable, src: int,
     return [label and label[2] for label in _label_search(table, src, radius)]
 
 
+class Routes:
+    """Best routes on one table at one radius, one tree per source on demand.
+
+    path(src, dst) is the path find_optimal_path returns for (src, dst,
+    radius), or None when dst is unreachable. A source's tree is built on its
+    first pair and kept for the life of the object.
+    """
+
+    def __init__(self, table: DistanceTable, radius: float):
+        _check_radius(radius)
+        self.table = table
+        self.radius = radius
+        self._trees: list[list[tuple[int, ...] | None] | None] = [None] * (table.n + 1)
+
+    def path(self, src: int, dst: int) -> tuple[int, ...] | None:
+        self.table.check_node(src)
+        self.table.check_node(dst)
+        tree = self._trees[src]
+        if tree is None:
+            tree = self._trees[src] = shortest_path_tree(self.table, src, self.radius)
+        return tree[dst]
+
+
 def brute_force_route(table: DistanceTable, query: RouteQuery) -> Route:
     """Independent oracle: enumerate every simple src->dst path and pick the best.
 
@@ -200,25 +223,18 @@ def path_distance(table: DistanceTable, path) -> float:
     return sum(table.cost[a - 1][b - 1] for a, b in zip(nodes, nodes[1:]))
 
 
-def tally_pairs(table: DistanceTable, pairs, radius: float, mode: CountingMode) -> VisitStats:
+def tally_pairs(routes: Routes, pairs, mode: CountingMode) -> VisitStats:
     """Route each (src, dst) pair in order and tally per-node visits and relays.
 
-    One shortest-path tree per distinct source serves every pair from it.
     Unreachable pairs contribute nothing to the counts and are reported in
     `unreachable`. The relay tallies feed the top-relays ranking.
     """
-    counts = {node: 0 for node in table.nodes}
-    relay_counts = {node: 0 for node in table.nodes}
-    trees: dict[int, list] = {}
+    counts = {node: 0 for node in routes.table.nodes}
+    relay_counts = {node: 0 for node in routes.table.nodes}
     delivered = 0
     unreachable = 0
     for src, dst in pairs:
-        table.check_node(src)
-        table.check_node(dst)
-        tree = trees.get(src)
-        if tree is None:
-            tree = trees[src] = shortest_path_tree(table, src, radius)
-        path = tree[dst]
+        path = routes.path(src, dst)
         if path is None:
             unreachable += 1
             continue
@@ -234,5 +250,4 @@ def all_pairs_profile(table: DistanceTable, radius: float, mode: CountingMode) -
     """Route every ordered pair once and tally the visits."""
     if table.n < 2:
         raise InvalidInput("profile needs at least 2 nodes")
-    _check_radius(radius)
-    return tally_pairs(table, itertools.permutations(table.nodes, 2), radius, mode)
+    return tally_pairs(Routes(table, radius), itertools.permutations(table.nodes, 2), mode)

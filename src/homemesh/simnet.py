@@ -16,7 +16,7 @@ from enum import Enum
 from . import wire
 from .errors import InvalidInput, MisroutedFrame, UnknownNode
 from .netmodel import DistanceTable, Topology, table_from_positions
-from .routing import CountingMode, VisitStats, shortest_path_tree, tally_pairs
+from .routing import CountingMode, Routes, VisitStats, tally_pairs
 
 MAX_FRAME_PAYLOAD = 96  # small-frame discipline for the radio side
 
@@ -209,6 +209,11 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
     return state, []
 
 
+def trace_line(tick: int, event: str, src: int, dst: int, detail: str) -> str:
+    """One trace event as 'tick<TAB>event<TAB>src<TAB>dst<TAB>detail'."""
+    return f"{tick}\t{event}\t{src}\t{dst}\t{detail}"
+
+
 def run_discovery(topology: Topology, root: int, trace=None) -> tuple[DistanceTable, int]:
     """Root floods one request; every other node reports its id and location
     (or distance row); the assembled table equals the ground truth exactly.
@@ -261,7 +266,7 @@ class SimConfig:
 
 def run_pairs(topology: Topology, pairs, radius: float, mode: CountingMode) -> VisitStats:
     """Route and tally an explicit sequence of (src, dst) transmissions."""
-    return tally_pairs(topology.table, pairs, radius, mode)
+    return tally_pairs(Routes(topology.table, radius), pairs, mode)
 
 
 def run_traffic(topology: Topology, config: SimConfig) -> VisitStats:
@@ -284,12 +289,10 @@ class Coordinator:
 
     def __init__(self, table: DistanceTable, radius: float, node_id: int = 1):
         table.check_node(node_id)
-        self.table = table
-        self.radius = radius
+        self.routes = Routes(table, radius)
         self.node_id = node_id
         self._seq = 0
         self._pending: dict[int, deque[int]] = {}
-        self._tree: list | None = None  # routes from node_id, built on the first command
 
     def _next_seq(self) -> int:
         seq = self._seq
@@ -325,11 +328,9 @@ class Coordinator:
             return [], []  # monitor-side ACK/NACK of our uplink traffic
         target, _opcode = wire.decode_command_payload(d.payload)
         nack = wire.Datagram(wire.MsgType.NACK, d.seq, target)
-        if not 1 <= target <= self.table.n or target == self.node_id:
+        if not 1 <= target <= self.routes.table.n or target == self.node_id:
             return [nack], []
-        if self._tree is None:
-            self._tree = shortest_path_tree(self.table, self.node_id, self.radius)
-        path = self._tree[target]
+        path = self.routes.path(self.node_id, target)
         if path is None:
             return [nack], []
         frame = RadioFrame(
@@ -348,15 +349,15 @@ class SimNetwork:
     """Single-threaded tick loop owning every node, the coordinator, and all
     in-flight frames.
 
-    One radio hop takes one tick. The trace records one line per event as
-    'tick<TAB>event<TAB>src<TAB>dst<TAB>detail' for diffing across runs.
+    One radio hop takes one tick. The trace records one event per line, in
+    trace_line's format, for diffing across runs.
     """
 
     def __init__(self, topology: Topology, radius: float, seed: int = 0,
                  sample_period: int = 50):
         self.topology = topology
-        self.radius = radius
         self.coordinator = Coordinator(topology.table, radius, topology.coordinator)
+        self.routes = self.coordinator.routes
         self.nodes: dict[int, NodeState] = {
             node: NodeState(
                 id=node,
@@ -375,7 +376,6 @@ class SimNetwork:
         self.trace: list[tuple[int, str, int, int, str]] = []
         self.readings_emitted = 0
         self.frames_dropped = 0
-        self._trees: dict[int, list] = {}  # shortest-path tree per source, built on first use
 
     # --- inputs -----------------------------------------------------------
 
@@ -405,13 +405,7 @@ class SimNetwork:
         """Attach a route to a node-originated frame and put it on the air."""
         if frame.src == frame.dst:
             return
-        table = self.topology.table
-        table.check_node(frame.src)
-        table.check_node(frame.dst)
-        tree = self._trees.get(frame.src)
-        if tree is None:
-            tree = self._trees[frame.src] = shortest_path_tree(table, frame.src, self.radius)
-        path = tree[frame.dst]
+        path = self.routes.path(frame.src, frame.dst)
         if path is None:
             self.frames_dropped += 1
             self._log("drop", frame.src, frame.dst, f"no-route kind={frame.kind.value}")
@@ -459,10 +453,8 @@ class SimNetwork:
         holder = frame.route[frame.hop_index]
         if holder == self.coordinator.node_id:
             self._log("deliver", frame.src, holder, f"kind={frame.kind.value}")
-            up, down = self.coordinator.step((frame,), ())
+            up, _down = self.coordinator.step((frame,), ())  # frames alone send nothing down
             self._emit_uplink(up)
-            for out in down:
-                self._schedule(out)
             return
         state, frames = node_on_receive(self.nodes[holder], frame)
         self.nodes[holder] = state
@@ -491,5 +483,4 @@ class SimNetwork:
             self.step()
 
     def trace_lines(self) -> list[str]:
-        return [f"{t}\t{event}\t{src}\t{dst}\t{detail}"
-                for t, event, src, dst, detail in self.trace]
+        return [trace_line(*event) for event in self.trace]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homemesh import routing
 from homemesh.errors import (
     InstanceTooLarge,
     InvalidInput,
@@ -17,6 +18,7 @@ from homemesh.netmodel import DistanceTable
 from homemesh.routing import (
     CountingMode,
     RouteQuery,
+    Routes,
     all_pairs_profile,
     brute_force_route,
     find_optimal_path,
@@ -370,6 +372,7 @@ def test_frozen_routes_on_planar_net():
 
     assert routes_digest(table, tree_path) == PLANAR60_K18_ROUTES
     assert routes_digest(table, query_path) == PLANAR60_K18_ROUTES
+    assert routes_digest(table, Routes(table, 18).path) == PLANAR60_K18_ROUTES
 
 
 def test_tree_validation(table1):
@@ -381,3 +384,51 @@ def test_tree_validation(table1):
         shortest_path_tree(table1, 1, float("nan"))
     with pytest.raises(InvalidInput):
         shortest_path_tree(table1, 1, -1)
+
+
+# --- Routes: every tree on one table at one radius ------------------------------
+
+
+@pytest.mark.parametrize("radius", [1, 4, 5, 9])
+def test_routes_match_single_queries(table1, radius):
+    routes = Routes(table1, radius)
+    for src in table1.nodes:
+        for dst in table1.nodes:
+            try:
+                expected = find_optimal_path(table1, RouteQuery(src, dst, radius)).path
+            except NoPath:
+                expected = None
+            assert routes.path(src, dst) == expected
+
+
+def test_routes_build_one_tree_per_source(table1, monkeypatch):
+    calls = []
+    original = routing.shortest_path_tree
+
+    def counted(table, src, radius):
+        calls.append(src)
+        return original(table, src, radius)
+
+    monkeypatch.setattr(routing, "shortest_path_tree", counted)
+    routes = Routes(table1, 5)
+    for _ in range(3):
+        for src in table1.nodes:
+            for dst in table1.nodes:
+                routes.path(src, dst)
+    assert calls == list(table1.nodes)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -1, -0.5])
+def test_routes_reject_bad_radius_at_construction(table1, radius):
+    with pytest.raises(InvalidInput):
+        Routes(table1, radius)
+
+
+@pytest.mark.parametrize("bad", [0, 11, True])
+def test_routes_reject_unknown_nodes(table1, bad):
+    routes = Routes(table1, 5)
+    assert routes.path(1, 2) == (1, 2)  # source 1's tree is now cached
+    with pytest.raises(UnknownNode):
+        routes.path(bad, 2)
+    with pytest.raises(UnknownNode):
+        routes.path(1, bad)

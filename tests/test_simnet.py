@@ -388,6 +388,16 @@ def build_net(table1_topology, radius=5.0, seed=0):
     return SimNetwork(table1_topology, radius, seed=seed, sample_period=20)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), -1])
+def test_bad_radius_raises_at_construction(table1_topology, radius):
+    with pytest.raises(InvalidInput):
+        Coordinator(table1_topology.table, radius)
+    with pytest.raises(InvalidInput):
+        SimNetwork(table1_topology, radius)
+    with pytest.raises(InvalidInput):
+        run_traffic(table1_topology, SimConfig(radius, 0, 1))
+
+
 def test_network_delivers_every_reachable_reading(table1_topology):
     net = build_net(table1_topology)
     net.run(100)
@@ -461,7 +471,7 @@ def test_network_alarm_unknown_node(table1_topology):
 
 @pytest.fixture
 def tree_calls(monkeypatch):
-    """Record the source of every shortest_path_tree call made through either module."""
+    """Record the source of every shortest_path_tree call."""
     calls = []
     original = routing.shortest_path_tree
 
@@ -470,7 +480,6 @@ def tree_calls(monkeypatch):
         return original(table, src, radius)
 
     monkeypatch.setattr(routing, "shortest_path_tree", counted)
-    monkeypatch.setattr(simnet, "shortest_path_tree", counted)
     return calls
 
 

@@ -6,7 +6,8 @@ thread that touches the store, the sessions and the tickets, so none needs a
 lock; public methods called from other threads hop onto the loop. Any number
 of coordinator sessions may be connected, and a malformed session is closed
 without touching the others. A second listener speaks a line-delimited JSON
-admin protocol for queries, snapshots, and command dispatch. A history page
+admin protocol for queries, snapshots, and command dispatch. Each connection
+on either port is one stream coroutine. A history page
 starts at its cursor, so it costs the records after the cursor, not the store.
 """
 
@@ -42,6 +43,10 @@ DEDUP_WINDOW = 1 << 15
 
 # terminal command tickets kept for the `ticket` op; the oldest go first
 TICKET_RETENTION = 4096
+
+# bytes a session reads at once; asyncio's socket transports receive up to this
+# much per recv, so one read takes whatever one recv brought
+READ_SIZE = 256 * 1024
 
 
 class RecordKind(Enum):
@@ -124,10 +129,9 @@ class RecordStore:
             defaultdict(OrderedDict)
         self._latest: dict[tuple[int, int], SensorRecord] = {}
         valid = self._replay()
-        mode = "r+b" if os.path.exists(self._path) else "w+b"
-        self._file = open(self._path, mode)
-        self._file.truncate(valid)
-        self._file.seek(valid)
+        self._file = open(self._path, "ab")
+        if self._file.tell() > valid:
+            self._file.truncate(valid)
 
     def _replay(self) -> int:
         if not os.path.exists(self._path):
@@ -174,8 +178,7 @@ class RecordStore:
             received_at = time.time_ns()
             if self._records and received_at <= self._records[-1].received_at:
                 received_at = self._records[-1].received_at + 1
-        self._file.write(RECORD_HEADER.pack(received_at, coordinator_id, len(raw)))
-        self._file.write(raw)
+        self._file.write(RECORD_HEADER.pack(received_at, coordinator_id, len(raw)) + raw)
         self._file.flush()
         return self._index(received_at, coordinator_id, d, key), True
 
@@ -220,49 +223,17 @@ class RecordStore:
         return max(self._recent, default=0)
 
     def close(self) -> None:
-        self._file.flush()
         self._file.close()
 
 
-class _Session(asyncio.Protocol):
+class _Session:
     """One connected coordinator; runs on the service's event loop."""
 
-    def __init__(self, service: MonitorService, session_id: int):
-        self.service = service
+    def __init__(self, session_id: int, transport: asyncio.Transport):
         self.id = session_id
-        self.decoder = wire.StreamDecoder()
-        self.pending: dict[int, int] = {}  # command seq -> ticket id
-        self.transport: asyncio.Transport | None = None
-        self._command_seq = 0
-
-    def connection_made(self, transport) -> None:
         self.transport = transport
-        # asyncio sets this only where sock.proto is IPPROTO_TCP; accepted sockets report 0
-        transport.get_extra_info("socket").setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.service._sessions[self.id] = self
-        log.info("coordinator session %d from %s", self.id, transport.get_extra_info("peername"))
-
-    def data_received(self, data: bytes) -> None:
-        try:
-            datagrams = self.decoder.feed(data)
-        except wire.ProtocolError as exc:
-            log.warning("session %d: protocol error: %s", self.id, exc)
-            self.transport.abort()
-            return
-        replies = [self.service.handle_datagram(self, d) for d in datagrams]
-        self.transport.write(b"".join(wire.encode_datagram(r) for r in replies if r is not None))
-
-    # a peer that stops reading its replies stops being read, so the reply
-    # buffer stays bounded
-    def pause_writing(self) -> None:
-        self.transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self.transport.resume_reading()
-
-    def connection_lost(self, exc) -> None:
-        self.service._sessions.pop(self.id, None)
-        log.info("session %d closed", self.id)
+        self.pending: dict[int, int] = {}  # command seq -> ticket id
+        self._command_seq = 0
 
     def next_command_seq(self) -> int:
         seq = self._command_seq
@@ -286,7 +257,7 @@ class MonitorService:
         self._thread: threading.Thread | None = None
         self._servers: list[asyncio.AbstractServer] = []
         self._sessions: dict[int, _Session] = {}
-        self._admin_clients: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._next_session_id = 1
         self._tickets: dict[int, CommandTicket] = {}
         self._finished: deque[int] = deque()  # terminal ticket ids, oldest first
@@ -307,9 +278,9 @@ class MonitorService:
             raise
         loop = asyncio.new_event_loop()
         self._servers = [
-            loop.run_until_complete(loop.create_server(self._new_session, sock=self._listener)),
-            loop.run_until_complete(asyncio.start_server(self._admin_client,
-                                                         sock=self._admin_listener)),
+            loop.run_until_complete(asyncio.start_server(handler, sock=sock))
+            for handler, sock in ((self._session, self._listener),
+                                  (self._admin_client, self._admin_listener))
         ]
         self._loop = loop
         self._thread = threading.Thread(target=loop.run_forever, name="monitor-loop",
@@ -319,7 +290,8 @@ class MonitorService:
         return self
 
     def stop(self) -> None:
-        if self._loop is not None:
+        """Close every connection and the store; a second call does nothing."""
+        if self._loop is not None and not self._loop.is_closed():
             asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop).result()
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=5)
@@ -331,11 +303,9 @@ class MonitorService:
         # before Python 3.12, Server.close() leaves accepted connections open
         for server in self._servers:
             server.close()
-        for session in list(self._sessions.values()):
-            session.transport.abort()
-        for writer in self._admin_clients:
+        for writer in self._connections:
             writer.transport.abort()
-        await asyncio.gather(*self._admin_clients.values())
+        await asyncio.gather(*self._connections.values(), return_exceptions=True)
 
     def __enter__(self):
         return self.start()
@@ -365,10 +335,35 @@ class MonitorService:
 
     # --- coordinator sessions ----------------------------------------------
 
-    def _new_session(self) -> _Session:
-        session = _Session(self, self._next_session_id)
+    async def _session(self, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter) -> None:
+        self._connections[writer] = asyncio.current_task()
+        session = _Session(self._next_session_id, writer.transport)
         self._next_session_id += 1
-        return session
+        self._sessions[session.id] = session
+        # asyncio sets this only where sock.proto is IPPROTO_TCP; accepted sockets report 0
+        writer.get_extra_info("socket").setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        log.info("coordinator session %d from %s", session.id, writer.get_extra_info("peername"))
+        decoder = wire.StreamDecoder()
+        try:
+            while data := await reader.read(READ_SIZE):
+                try:
+                    datagrams = decoder.feed(data)
+                except wire.ProtocolError as exc:
+                    log.warning("session %d: protocol error: %s", session.id, exc)
+                    writer.transport.abort()
+                    break
+                replies = [self.handle_datagram(session, d) for d in datagrams]
+                writer.write(b"".join(wire.encode_datagram(r) for r in replies if r is not None))
+                # a peer that stops reading its replies stops being read
+                await writer.drain()
+        except ConnectionError:
+            pass
+        finally:
+            del self._sessions[session.id]
+            del self._connections[writer]
+            writer.close()
+            log.info("session %d closed", session.id)
 
     def handle_datagram(self, session: _Session, d: wire.Datagram) -> wire.Datagram | None:
         """Ingest one decoded datagram; returns the reply to send, if any."""
@@ -459,7 +454,7 @@ class MonitorService:
 
     async def _admin_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
-        self._admin_clients[writer] = asyncio.current_task()
+        self._connections[writer] = asyncio.current_task()
         try:
             while line := await reader.readline():
                 try:
@@ -476,7 +471,7 @@ class MonitorService:
         except (OSError, ValueError):  # ValueError: a line over the reader's limit
             pass
         finally:
-            del self._admin_clients[writer]
+            del self._connections[writer]
             writer.close()
 
     def _admin_dispatch(self, request) -> dict:

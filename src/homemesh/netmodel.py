@@ -137,9 +137,8 @@ class Topology:
     coordinator: int = 1
 
     def __post_init__(self):
+        self.table.check_node(self.coordinator)
         n = self.table.n
-        if not 1 <= self.coordinator <= n:
-            raise UnknownNode(self.coordinator)
         if self.positions is not None:
             if len(self.positions) != n:
                 raise InvalidInput(

@@ -220,7 +220,12 @@ def path_distance(table: DistanceTable, path) -> float:
         table.check_node(node)
     if len(set(nodes)) != len(nodes):
         raise InvalidPath(f"repeated node in path {nodes}")
-    return sum(table.cost[a - 1][b - 1] for a, b in zip(nodes, nodes[1:]))
+    # added in path order, as a route's dist is; sum() of floats rounds
+    # differently since Python 3.12
+    dist = 0
+    for a, b in zip(nodes, nodes[1:]):
+        dist += table.cost[a - 1][b - 1]
+    return dist
 
 
 def tally_pairs(routes: Routes, pairs, mode: CountingMode) -> VisitStats:

@@ -221,9 +221,7 @@ def run_discovery(topology: Topology, root: int, trace=None) -> tuple[DistanceTa
     Discovery is reliable flooding, independent of the data-plane radius.
     Returns (table, message_count) with message_count = 1 + (n - 1).
     """
-    n = topology.n
-    if not isinstance(root, int) or isinstance(root, bool) or not 1 <= root <= n:
-        raise UnknownNode(root)
+    topology.table.check_node(root)
     if trace is not None:
         trace.append((0, "discovery-request", root, 0, "broadcast"))
     messages = 1

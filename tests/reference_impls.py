@@ -45,7 +45,11 @@ def enum_best_route(cost_rows, src, dst, radius):
         for middle in itertools.permutations(others, size):
             path = (src, *middle, dst)
             if all(cost_rows[a - 1][b - 1] <= radius for a, b in zip(path, path[1:])):
-                dist = sum(cost_rows[a - 1][b - 1] for a, b in zip(path, path[1:]))
+                # hop costs added in path order, as a route's distance is built;
+                # sum() of floats compensates rounding since Python 3.12
+                dist = 0.0
+                for a, b in zip(path, path[1:]):
+                    dist += cost_rows[a - 1][b - 1]
                 key = (dist, len(path) - 1, path)
                 if best is None or key < best:
                     best = key

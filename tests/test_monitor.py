@@ -220,6 +220,29 @@ def test_store_truncates_torn_tail(tmp_path):
     final.close()
 
 
+@pytest.mark.parametrize("damage", ["short-body", "bad-crc"])
+def test_store_replay_truncates_a_damaged_record(tmp_path, damage):
+    path = tmp_path / "s.log"
+    store = RecordStore(path)
+    store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    store.close()
+    good_size = path.stat().st_size
+    raw = wire.encode_datagram(wire.Datagram(wire.MsgType.SENSOR_DATA, 1, 1, b"abcdef"))
+    # the header is whole either way; the body is cut short or its CRC is wrong
+    body = raw[:-3] if damage == "short-body" else raw[:-1] + bytes([raw[-1] ^ 0xFF])
+    with open(path, "ab") as fh:
+        fh.write(monitor.RECORD_HEADER.pack(5, 1, len(raw)) + body)
+    reopened = RecordStore(path)
+    assert len(reopened.query()[0]) == 1
+    assert path.stat().st_size == good_size
+    reopened.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 1, 1))
+    reopened.close()
+    assert path.stat().st_size == 2 * good_size
+    final = RecordStore(path)
+    assert [r.seq for r in final.query()[0]] == [0, 1]
+    final.close()
+
+
 # --- live service ------------------------------------------------------------------
 
 
@@ -497,6 +520,20 @@ def test_admin_send_command_and_ticket(service):
     client.close()
 
 
+def test_admin_query_shows_alarm_cid_and_cid_error(service):
+    client = Client(service)
+    client.send(wire.Datagram(wire.MsgType.ALARM_CID, 1, 7, VALID_CID))
+    client.send(wire.Datagram(wire.MsgType.ALARM_CID, 2, 7, b"1234181131010157"))
+    client.recv(count=2)
+    decoded, undecodable = admin(service, {"op": "query", "kind": "alarm"})["records"]
+    assert decoded["cid"] == {"account": "1234", "message_type": "18", "qualifier": 1,
+                              "event_code": "131", "partition": "01", "zone": "015"}
+    assert "cid_error" not in decoded
+    assert "cid" not in undecodable
+    assert undecodable["cid_error"] == service.query_history()[0][1].cid_error
+    client.close()
+
+
 def test_admin_errors(service):
     assert admin(service, {"op": "nope"})["ok"] is False
     assert admin(service, {"op": "send-command", "target": 10, "opcode": "sideways"})["ok"] is False
@@ -601,6 +638,62 @@ def test_occupied_port_fails_cleanly(tmp_path, service):
                              store_path=tmp_path / "other.log")
     with pytest.raises(OSError):
         blocked.start()
+
+
+def test_stop_after_failed_start(tmp_path, service):
+    blocked = MonitorService(listen=service.address, admin=("127.0.0.1", 0),
+                             store_path=tmp_path / "other.log")
+    with pytest.raises(OSError):
+        blocked.start()
+    blocked.stop()
+
+
+def test_stop_twice(tmp_path):
+    handle = MonitorService(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                            store_path=tmp_path / "store.log")
+    with handle:
+        client = Client(handle)
+        client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+        client.recv()
+        handle.stop()
+        assert handle._sessions == {}
+    handle.stop()
+    client.close()
+
+
+def test_peer_that_never_reads_stops_being_read(service):
+    stalled = socket.socket()
+    # small buffers for the ACKs on both ends, so they back up within a second
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stalled.settimeout(0.1)
+    stalled.connect(service.address)
+    assert wait_for(lambda: service._on_loop(lambda: len(service._sessions) == 1))
+
+    def shrink_send_buffer():
+        (session,) = service._sessions.values()
+        session.transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        return session.transport
+
+    transport = service._on_loop(shrink_send_buffer)
+    # retransmits of 1,024 heartbeats: each is ACKed, none is stored twice
+    chunk = b"".join(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, seq, 1))
+                     for seq in range(1024))
+    offset, deadline = 0, time.monotonic() + 10
+    while service._on_loop(transport.is_reading):
+        assert time.monotonic() < deadline, "the service kept reading a peer that never reads"
+        try:
+            offset = (offset + stalled.send(chunk[offset:])) % len(chunk)
+        except TimeoutError:
+            pass
+    assert service._on_loop(transport.get_write_buffer_size) < 1 << 20
+    healthy = Client(service)
+    healthy.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 2))
+    (reply,) = healthy.recv()
+    assert reply.msg_type is wire.MsgType.ACK
+    assert not service._on_loop(transport.is_reading)
+    healthy.close()
+    stalled.close()
 
 
 def test_thread_count_independent_of_connections(tmp_path):

@@ -213,6 +213,15 @@ def test_topology_rejects_inconsistent_positions():
         Topology(table=table, coordinator=3)
 
 
+@pytest.mark.parametrize("coordinator", [1.5, True])
+def test_topology_coordinator_must_be_an_int_node_id(coordinator):
+    table = table_from_positions([(0, 0), (3, 4)])
+    with pytest.raises(UnknownNode):
+        Topology(table=table, coordinator=coordinator)
+    with pytest.raises(InvalidInput):
+        parse_topology({"positions": [[0, 0], [3, 4]], "coordinator": coordinator})
+
+
 def test_table1_fixture_path_is_the_strict_reject_case():
     doc = json.loads(TABLE1_PATH.read_text())
     assert doc["symmetrize"] is True

@@ -130,6 +130,15 @@ def test_path_distance_examples(table1):
     assert path_distance(table1, [1, 3, 7, 10]) == 10.0
 
 
+def test_path_distance_adds_hops_in_path_order():
+    # 0.3 + 0.1 + 0.2 rounds to 0.6000000000000001 hop by hop, 0.6 under fsum
+    rows = [[0, 0.3, 1, 1], [0.3, 0, 0.1, 1], [1, 0.1, 0, 0.2], [1, 1, 0.2, 0]]
+    table = DistanceTable.from_rows(rows)
+    route = find_optimal_path(table, RouteQuery(1, 4, 0.3))
+    assert route.path == (1, 2, 3, 4)
+    assert path_distance(table, route.path) == route.dist == (0.3 + 0.1) + 0.2
+
+
 def test_path_distance_errors(table1):
     with pytest.raises(InvalidPath):
         path_distance(table1, [])

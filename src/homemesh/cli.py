@@ -2,7 +2,7 @@
 
 Subcommands: route, discover, simulate, profile, cid, serve, send-command,
 query, snapshot, demo. Exit codes: 0 success, 1 domain error (no path, command
-rejected), 2 usage error, 3 I/O or protocol error.
+or admin request refused), 2 usage error, 3 I/O or protocol error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from . import monitor, wire
-from .errors import HomemeshError, NoPath
+from .errors import HomemeshError
 from .netmodel import Topology, load_topology, reference_topology, topology_digest
 from .routing import (
     CountingMode,
@@ -215,30 +215,30 @@ def cmd_serve(args) -> int:
 
 
 def _admin_request(addr: tuple[str, int], request: dict, timeout: float = 5.0) -> dict:
+    """One admin round trip; a request the service refuses raises HomemeshError."""
     with socket.create_connection(addr, timeout=timeout) as conn:
         conn.sendall(json.dumps(request).encode() + b"\n")
         with conn.makefile("rb") as reader:
             line = reader.readline()
     if not line:
         raise OSError("admin connection closed without a response")
-    return json.loads(line)
+    response = json.loads(line)
+    if not response.get("ok"):
+        raise HomemeshError(response.get("error"))
+    return response
 
 
 def cmd_send_command(args) -> int:
-    response = _admin_request(args.admin, {
+    ticket = _admin_request(args.admin, {
         "op": "send-command", "target": args.target, "opcode": args.opcode,
-    })
-    if not response.get("ok"):
-        print(f"error: {response.get('error')}", file=sys.stderr)
-        return 1
-    ticket = response["ticket"]
+    })["ticket"]
     deadline = time.monotonic() + args.wait
-    while ticket["state"] in ("queued", "sent") and time.monotonic() < deadline:
+    while (monitor.TicketState(ticket["state"]) not in monitor.TERMINAL_STATES
+           and time.monotonic() < deadline):
         time.sleep(0.05)
-        response = _admin_request(args.admin, {"op": "ticket", "id": ticket["ticket_id"]})
-        ticket = response["ticket"]
+        ticket = _admin_request(args.admin, {"op": "ticket", "id": ticket["ticket_id"]})["ticket"]
     print(json.dumps(ticket))
-    return 0 if ticket["state"] == "acked" else 1
+    return 0 if ticket["state"] == monitor.TicketState.ACKED.value else 1
 
 
 def cmd_query(args) -> int:
@@ -248,9 +248,6 @@ def cmd_query(args) -> int:
         if value is not None:
             request[key] = value
     response = _admin_request(args.admin, request)
-    if not response.get("ok"):
-        print(f"error: {response.get('error')}", file=sys.stderr)
-        return 1
     for record in response["records"]:
         print(json.dumps(record))
     if response.get("cursor") is not None:
@@ -259,11 +256,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
-    response = _admin_request(args.admin, {"op": "snapshot"})
-    if not response.get("ok"):
-        print(f"error: {response.get('error')}", file=sys.stderr)
-        return 1
-    for record in response["records"]:
+    for record in _admin_request(args.admin, {"op": "snapshot"})["records"]:
         print(json.dumps(record))
     return 0
 
@@ -380,6 +373,11 @@ def cmd_demo(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+def _add_admin(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--admin", type=_parse_addr, default=monitor.DEFAULT_ADMIN,
+                   metavar="HOST:PORT")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="homemesh",
                                      description="smart-home sensor mesh emulator")
@@ -428,24 +426,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the monitoring-center service")
     p.add_argument("--listen", type=_parse_addr, default=monitor.DEFAULT_LISTEN,
                    metavar="HOST:PORT")
-    p.add_argument("--admin", type=_parse_addr, default=monitor.DEFAULT_ADMIN,
-                   metavar="HOST:PORT")
+    _add_admin(p)
     p.add_argument("--store", default="monitor-store.log")
     p.add_argument("--command-timeout", type=float, default=monitor.DEFAULT_COMMAND_TIMEOUT)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("send-command", help="dispatch a switch command via a running service")
-    p.add_argument("--admin", type=_parse_addr, default=monitor.DEFAULT_ADMIN,
-                   metavar="HOST:PORT")
+    _add_admin(p)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--opcode", choices=["on", "off", "query"], required=True)
+    p.add_argument("--opcode", choices=list(monitor.OPCODE_NAMES), required=True)
     p.add_argument("--wait", type=float, default=6.0,
                    help="seconds to wait for the ticket to settle")
     p.set_defaults(func=cmd_send_command)
 
     p = sub.add_parser("query", help="query history records from a running service")
-    p.add_argument("--admin", type=_parse_addr, default=monitor.DEFAULT_ADMIN,
-                   metavar="HOST:PORT")
+    _add_admin(p)
     p.add_argument("--node", type=int, default=None)
     p.add_argument("--kind", choices=[k.value for k in monitor.RecordKind], default=None)
     p.add_argument("--since", type=int, default=None, help="ns timestamp lower bound")
@@ -455,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("snapshot", help="latest record per node from a running service")
-    p.add_argument("--admin", type=_parse_addr, default=monitor.DEFAULT_ADMIN,
-                   metavar="HOST:PORT")
+    _add_admin(p)
     p.set_defaults(func=cmd_snapshot)
 
     p = sub.add_parser("demo", help="end-to-end run: mesh, coordinator, service, alarm")
@@ -483,18 +477,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except wire.ProtocolError as exc:
+    except (wire.ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NoPath as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except HomemeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

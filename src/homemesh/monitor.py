@@ -87,6 +87,13 @@ class TicketState(Enum):
 
 TERMINAL_STATES = (TicketState.ACKED, TicketState.NACKED, TicketState.TIMED_OUT)
 
+# the switch opcodes by the names the admin protocol and the CLI use
+OPCODE_NAMES = {
+    "on": wire.SwitchOpcode.SWITCH_ON,
+    "off": wire.SwitchOpcode.SWITCH_OFF,
+    "query": wire.SwitchOpcode.QUERY_SWITCH,
+}
+
 
 @dataclass
 class CommandTicket:
@@ -246,13 +253,12 @@ class MonitorService:
 
     def __init__(self, listen=DEFAULT_LISTEN, admin=DEFAULT_ADMIN,
                  store_path="monitor-store.log", command_timeout=DEFAULT_COMMAND_TIMEOUT):
-        self._listen_addr = tuple(listen)
-        self._admin_addr = tuple(admin)
+        self._configured = (tuple(listen), tuple(admin))
+        # the bound addresses once start() succeeds; they outlive stop()
+        self.address, self.admin_address = self._configured
         self._store_path = store_path
         self.command_timeout = command_timeout
         self.store: RecordStore | None = None
-        self._listener: socket.socket | None = None
-        self._admin_listener: socket.socket | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._servers: list[asyncio.AbstractServer] = []
@@ -266,21 +272,25 @@ class MonitorService:
     # --- lifecycle ---------------------------------------------------------
 
     def start(self) -> "MonitorService":
+        """Bind both ports and run the loop; on a running service, return it."""
+        if self._thread is not None and self._thread.is_alive():
+            return self
         self.store = RecordStore(self._store_path)
         self._next_session_id = self.store.max_coordinator_id + 1
+        listeners: list[socket.socket] = []
         try:
-            self._listener = socket.create_server(self._listen_addr)
-            self._admin_listener = socket.create_server(self._admin_addr)
+            for addr in self._configured:
+                listeners.append(socket.create_server(addr))
         except OSError:
-            if self._listener is not None:
-                self._listener.close()
+            for sock in listeners:
+                sock.close()
             self.store.close()
             raise
+        self.address, self.admin_address = (sock.getsockname() for sock in listeners)
         loop = asyncio.new_event_loop()
         self._servers = [
             loop.run_until_complete(asyncio.start_server(handler, sock=sock))
-            for handler, sock in ((self._session, self._listener),
-                                  (self._admin_client, self._admin_listener))
+            for handler, sock in zip((self._session, self._admin_client), listeners)
         ]
         self._loop = loop
         self._thread = threading.Thread(target=loop.run_forever, name="monitor-loop",
@@ -312,14 +322,6 @@ class MonitorService:
 
     def __exit__(self, *exc):
         self.stop()
-
-    @property
-    def address(self):
-        return self._listener.getsockname() if self._listener else self._listen_addr
-
-    @property
-    def admin_address(self):
-        return self._admin_listener.getsockname() if self._admin_listener else self._admin_addr
 
     def _on_loop(self, fn, *args):
         """fn(*args) on the loop thread; at once if that is this thread or no
@@ -496,12 +498,12 @@ class MonitorService:
                     "records": [record_as_json(latest[key]) for key in sorted(latest)]}
         if op == "send-command":
             opcode = request.get("opcode")
-            if not isinstance(opcode, str) or opcode not in _OPCODE_NAMES:
-                raise InvalidInput(f"opcode must be one of {sorted(_OPCODE_NAMES)}")
+            if not isinstance(opcode, str) or opcode not in OPCODE_NAMES:
+                raise InvalidInput(f"opcode must be one of {sorted(OPCODE_NAMES)}")
             target = request.get("target")
             if not isinstance(target, int) or isinstance(target, bool):
                 raise InvalidInput("target must be an integer node id")
-            ticket = self.dispatch_command(target, _OPCODE_NAMES[opcode])
+            ticket = self.dispatch_command(target, OPCODE_NAMES[opcode])
             return {"ok": True, "ticket": ticket_as_json(ticket)}
         if op == "ticket":
             ticket = self.ticket(_optional_int(request, "id"))
@@ -514,13 +516,6 @@ def _optional_int(request: dict, field: str) -> int | None:
     if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
         raise InvalidInput(f"{field} must be an integer or null, got {value!r}")
     return value
-
-
-_OPCODE_NAMES = {
-    "on": wire.SwitchOpcode.SWITCH_ON,
-    "off": wire.SwitchOpcode.SWITCH_OFF,
-    "query": wire.SwitchOpcode.QUERY_SWITCH,
-}
 
 
 def record_as_json(record: SensorRecord) -> dict:

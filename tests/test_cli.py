@@ -1,16 +1,22 @@
 import csv
 import json
+import os
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 
 import pytest
 
-from homemesh import wire
+from homemesh import monitor, wire
 from homemesh.cli import main, run_experiment
 from homemesh.monitor import serve
 from homemesh.netmodel import load_topology
 from homemesh.routing import CountingMode
 
-from conftest import TABLE1_PATH
+from conftest import REPO_ROOT, TABLE1_PATH
 
 TABLE1 = str(TABLE1_PATH)
 GOLDEN = TABLE1_PATH.parent.parent / "tests" / "golden" / "visits_k5_n1000_seed42.csv"
@@ -204,6 +210,59 @@ def test_send_command_subcommand_no_coordinator(capsys, live_service):
                        "--target", "10", "--opcode", "on")
     assert code == 1
     assert "no coordinator" in err
+
+
+def test_send_command_subcommand_refused_poll_is_domain_error(capsys, live_service,
+                                                             monkeypatch):
+    # the coordinator never answers; the timed-out ticket is forgotten at once
+    monkeypatch.setattr(monitor, "TICKET_RETENTION", 0)
+    sock = socket.create_connection(live_service.address, timeout=5)
+    sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1)))
+    sock.recv(4096)
+    code, out, err = run(capsys, "send-command", "--admin", admin_flag(live_service),
+                         "--target", "10", "--opcode", "on", "--wait", "3")
+    sock.close()
+    assert (code, out, err) == (1, "", "error: unknown ticket id 1\n")
+
+
+def test_serve_rejects_a_malformed_address(capsys):
+    code, _, err = run(capsys, "serve", "--listen", "nonsense")
+    assert code == 2
+    assert "expected HOST:PORT, got 'nonsense'" in err
+
+
+def test_serve_process_ingests_answers_and_exits_on_sigint(tmp_path, capsys):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
+         "--admin", "127.0.0.1:0", "--store", str(tmp_path / "store.log")],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0], "serve printed no address"
+        line = proc.stdout.readline().decode()
+        match = re.fullmatch(r"listening on ([\d.]+):(\d+), admin on ([\d.]+):(\d+)\n", line)
+        assert match, line
+        host, port, admin_host, admin_port = match.groups()
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 3, 1)))
+            decoder = wire.StreamDecoder()
+            replies = []
+            while not replies:
+                data = sock.recv(4096)
+                assert data, "serve closed the session"
+                replies = decoder.feed(data)
+        assert [(d.msg_type, d.seq) for d in replies] == [(wire.MsgType.ACK, 3)]
+        code, out, _ = run(capsys, "query", "--admin", f"{admin_host}:{admin_port}")
+        assert code == 0
+        (record,) = map(json.loads, out.splitlines())
+        assert (record["kind"], record["seq"], record["node"]) == ("heartbeat", 3, 1)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 # --- demo ---------------------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_store_restart_preserves_records(tmp_path):
     reopened.close()
 
 
+def test_store_received_at_increases_when_the_clock_stalls(tmp_path, monkeypatch):
+    monkeypatch.setattr(monitor.time, "time_ns", lambda: 1_000)
+    store = RecordStore(tmp_path / "s.log")
+    first, _ = store.append(1, wire.Datagram(wire.MsgType.SENSOR_DATA, 1, 3, b"a"))
+    second, _ = store.append(1, wire.Datagram(wire.MsgType.SENSOR_DATA, 2, 3, b"b"))
+    store.close()
+    assert (first.received_at, second.received_at) == (1_000, 1_001)
+
+
 def test_store_dedup_window_survives_seq_wrap(tmp_path):
     store = RecordStore(tmp_path / "s.log")
     for i in range(70_000):
@@ -549,6 +558,7 @@ def test_admin_malformed_requests_keep_the_connection(service, caplog):
         b'{"op": "query", "limit": true}',
         b'{"op": "ticket", "id": [1]}',
         b'{"op": "send-command", "target": 10, "opcode": [1]}',
+        b'{"op": "send-command", "target": "10", "opcode": "on"}',
         b"[" * 50_000,
     ]
     with socket.create_connection(service.admin_address, timeout=5) as sock, \
@@ -559,6 +569,20 @@ def test_admin_malformed_requests_keep_the_connection(service, caplog):
         sock.sendall(b'{"op": "snapshot"}\n')
         assert json.loads(reader.readline())["ok"] is True
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+def test_admin_line_over_the_limit_closes_only_that_connection(service):
+    with socket.create_connection(service.admin_address, timeout=5) as other, \
+            other.makefile("rb") as other_reader:
+        with socket.create_connection(service.admin_address, timeout=5) as flood:
+            try:
+                flood.sendall(b"x" * (1 << 17) + b"\n")  # twice the reader's 64 KiB limit
+                assert flood.recv(4096) == b""
+            except ConnectionError:
+                pass  # closed with bytes unread: the peer reset the connection
+        other.sendall(b'{"op": "snapshot"}\n')
+        assert json.loads(other_reader.readline())["ok"] is True
+    assert admin(service, {"op": "snapshot"})["ok"] is True
 
 
 def test_discovery_report_acked_but_not_stored(service):
@@ -659,6 +683,42 @@ def test_stop_twice(tmp_path):
         assert handle._sessions == {}
     handle.stop()
     client.close()
+
+
+def test_addresses_outlive_stop_and_restart_binds_the_configured_ones(tmp_path):
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                   store_path=tmp_path / "store.log")
+    bound = handle.address, handle.admin_address
+    handle.stop()
+    assert (handle.address, handle.admin_address) == bound
+    handle.start()
+    try:
+        assert handle.address[1] != 0 and handle.admin_address[1] != 0
+        assert admin(handle, {"op": "snapshot"})["ok"] is True
+    finally:
+        handle.stop()
+
+
+def test_addresses_after_failed_start(tmp_path, service):
+    blocked = MonitorService(listen=("127.0.0.1", 0), admin=service.admin_address,
+                             store_path=tmp_path / "other.log")
+    with pytest.raises(OSError):
+        blocked.start()
+    assert blocked.address == ("127.0.0.1", 0)
+    assert blocked.admin_address == service.admin_address
+    blocked.stop()
+
+
+def test_with_on_a_running_service_starts_nothing(tmp_path):
+    before = set(threading.enumerate())
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                   store_path=tmp_path / "store.log")
+    first = handle.address, handle.admin_address
+    with handle as entered:
+        assert entered is handle
+        assert (handle.address, handle.admin_address) == first
+        assert admin(handle, {"op": "snapshot"})["ok"] is True
+    assert not [t for t in set(threading.enumerate()) - before if t.name == "monitor-loop"]
 
 
 def test_peer_that_never_reads_stops_being_read(service):

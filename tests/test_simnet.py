@@ -195,6 +195,17 @@ def test_radio_frame_payload_bound():
         RadioFrame(src=1, dst=2, kind=FrameKind.SENSOR_READING, payload=bytes(97))
 
 
+def test_radio_frame_hop_index_bound():
+    with pytest.raises(InvalidInput):
+        RadioFrame(src=1, dst=2, kind=FrameKind.SENSOR_READING, route=(1, 2), hop_index=3)
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x01\x02", b"SWACK\x01", b"SWACK\x01\x01\x00"])
+def test_parse_switch_ack_rejects_other_payloads(payload):
+    with pytest.raises(InvalidInput):
+        parse_switch_ack(payload)
+
+
 # --- discovery ---------------------------------------------------------------------
 
 
@@ -354,6 +365,16 @@ def test_coordinator_nacks_unreachable_target(table1):
     assert up[0].msg_type is wire.MsgType.NACK
     assert up[0].seq == 8
     assert up[0].src_node == 10
+
+
+@pytest.mark.parametrize("target", [0, 11, 1])  # no such node, and the coordinator
+def test_coordinator_nacks_target_outside_the_mesh(table1, target):
+    coordinator = Coordinator(table1, 5)
+    command = wire.Datagram(wire.MsgType.COMMAND, 9, target,
+                            wire.encode_command_payload(target, wire.SwitchOpcode.SWITCH_ON))
+    up, down = coordinator.step(datagrams=[command])
+    assert down == []
+    assert [(d.msg_type, d.seq, d.src_node) for d in up] == [(wire.MsgType.NACK, 9, target)]
 
 
 def test_coordinator_correlates_switch_ack(table1):

@@ -203,7 +203,7 @@ def cmd_serve(args) -> int:
     host, port = service.address
     admin_host, admin_port = service.admin_address
     print(f"listening on {host}:{port}, admin on {admin_host}:{admin_port}")
-    print(f"store: {args.store}")
+    print(f"store: {args.store}", flush=True)  # a supervisor reads the ports from these lines
     try:
         while True:
             time.sleep(1)

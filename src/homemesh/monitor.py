@@ -364,6 +364,9 @@ class MonitorService:
         finally:
             del self._sessions[session.id]
             del self._connections[writer]
+            # no answer can reach these any more; stop() ends every session this way
+            for ticket_id in session.pending.values():
+                self._advance(ticket_id, TicketState.TIMED_OUT)
             writer.close()
             log.info("session %d closed", session.id)
 
@@ -416,7 +419,8 @@ class MonitorService:
         """Frame and send a COMMAND to the newest coordinator session.
 
         The returned ticket advances to ACKED/NACKED when the coordinator
-        answers, or to TIMED_OUT after command_timeout seconds. Only the
+        answers, or to TIMED_OUT after command_timeout seconds or when its
+        session ends, whichever comes first. Only the
         newest TICKET_RETENTION finished tickets stay queryable by id.
         """
         return self._on_loop(self._dispatch_command, target_node, opcode)

@@ -222,30 +222,15 @@ def run_discovery(topology: Topology, root: int, trace=None) -> tuple[DistanceTa
     Returns (table, message_count) with message_count = 1 + (n - 1).
     """
     topology.table.check_node(root)
+    positions = topology.positions
     if trace is not None:
         trace.append((0, "discovery-request", root, 0, "broadcast"))
-    messages = 1
-    if topology.positions is not None:
-        collected = {root: topology.positions[root - 1]}
         for node in topology.nodes:
-            if node == root:
-                continue
-            collected[node] = topology.positions[node - 1]
-            messages += 1
-            if trace is not None:
-                trace.append((0, "discovery-report", node, root, f"pos={collected[node]}"))
-        table = table_from_positions([collected[node] for node in sorted(collected)])
-    else:
-        rows = {root: topology.table.cost[root - 1]}
-        for node in topology.nodes:
-            if node == root:
-                continue
-            rows[node] = topology.table.cost[node - 1]
-            messages += 1
-            if trace is not None:
-                trace.append((0, "discovery-report", node, root, "distance-row"))
-        table = DistanceTable(tuple(rows[node] for node in sorted(rows)))
-    return table, messages
+            if node != root:
+                detail = "distance-row" if positions is None else f"pos={positions[node - 1]}"
+                trace.append((0, "discovery-report", node, root, detail))
+    table = topology.table if positions is None else table_from_positions(positions)
+    return table, topology.n
 
 
 @dataclass(frozen=True)
@@ -368,9 +353,9 @@ class SimNetwork:
         }
         self.now = 0
         self.uplink_out: list[wire.Datagram] = []
-        self._uplink_in: deque[wire.Datagram] = deque()
-        self._alarm_queue: deque[tuple[int, bytes]] = deque()
-        self._due: dict[int, list[RadioFrame]] = {}
+        self._uplink_in: list[wire.Datagram] = []
+        self._alarms: list[tuple[int, bytes]] = []
+        self._in_flight: list[RadioFrame] = []  # sent this tick, delivered the next
         self.trace: list[tuple[int, str, int, int, str]] = []
         self.readings_emitted = 0
         self.frames_dropped = 0
@@ -385,10 +370,11 @@ class SimNetwork:
         """Make a node raise a Contact-ID alarm on the next tick."""
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
-        self._alarm_queue.append((node_id, digits.encode("ascii")))
+        self._alarms.append((node_id, digits.encode("ascii")))
 
     def run_discovery(self, root: int | None = None) -> tuple[DistanceTable, int]:
-        return run_discovery(self.topology, root or self.topology.coordinator,
+        return run_discovery(self.topology,
+                             root if root is not None else self.topology.coordinator,
                              trace=self.trace)
 
     # --- the loop ---------------------------------------------------------
@@ -396,8 +382,11 @@ class SimNetwork:
     def _log(self, event: str, src: int, dst: int, detail: str) -> None:
         self.trace.append((self.now, event, src, dst, detail))
 
-    def _schedule(self, frame: RadioFrame) -> None:
-        self._due.setdefault(self.now + 1, []).append(frame)
+    def _send(self, frame: RadioFrame) -> None:
+        """Put a routed frame on the air; it reaches route[1] next tick."""
+        self._log("send", frame.src, frame.dst,
+                  f"kind={frame.kind.value} route={'-'.join(map(str, frame.route))}")
+        self._in_flight.append(frame)
 
     def _launch(self, frame: RadioFrame) -> None:
         """Attach a route to a node-originated frame and put it on the air."""
@@ -408,25 +397,21 @@ class SimNetwork:
             self.frames_dropped += 1
             self._log("drop", frame.src, frame.dst, f"no-route kind={frame.kind.value}")
             return
-        routed = replace(frame, route=path, hop_index=1)
-        self._log("send", frame.src, frame.dst,
-                  f"kind={frame.kind.value} route={'-'.join(map(str, path))}")
-        self._schedule(routed)
+        self._send(replace(frame, route=path, hop_index=1))
 
     def step(self) -> None:
-        """Advance one tick: pump the uplink, wake due nodes, deliver frames."""
-        if self._uplink_in:
-            datagrams = list(self._uplink_in)
-            self._uplink_in.clear()
+        """Advance one tick: pump the uplink, wake due nodes, raise alarms, then
+        deliver the frames sent last tick."""
+        arriving, self._in_flight = self._in_flight, []
+        datagrams, self._uplink_in = self._uplink_in, []
+        if datagrams:
             for d in datagrams:
                 self._log("downlink", 0, self.coordinator.node_id,
                           f"type={d.msg_type.name} seq={d.seq}")
             up, down = self.coordinator.step((), datagrams)
             self._emit_uplink(up)
             for frame in down:
-                self._log("send", frame.src, frame.dst,
-                          f"kind={frame.kind.value} route={'-'.join(map(str, frame.route))}")
-                self._schedule(frame)
+                self._send(frame)
 
         for node_id in sorted(self.nodes):
             state, frames = node_tick(self.nodes[node_id], self.now)
@@ -436,13 +421,13 @@ class SimNetwork:
                 self._log("wake", node_id, frame.dst, f"reading={state.last_reading}")
                 self._launch(frame)
 
-        while self._alarm_queue:
-            node_id, payload = self._alarm_queue.popleft()
+        alarms, self._alarms = self._alarms, []
+        for node_id, payload in alarms:
             self._log("alarm", node_id, self.topology.coordinator, payload.decode("ascii"))
             self._launch(RadioFrame(src=node_id, dst=self.topology.coordinator,
                                     kind=FrameKind.ALARM, payload=payload))
 
-        for frame in self._due.pop(self.now, []):
+        for frame in arriving:
             self._deliver(frame)
 
         self.now += 1
@@ -459,7 +444,7 @@ class SimNetwork:
         for out in frames:
             if out.route:
                 self._log("relay", holder, out.route[out.hop_index], f"kind={out.kind.value}")
-                self._schedule(out)
+                self._in_flight.append(out)
             else:
                 if out.kind is FrameKind.SENSOR_READING and is_switch_ack(out.payload):
                     self._log("switch", holder, out.dst,

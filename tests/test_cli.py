@@ -233,8 +233,9 @@ def test_serve_rejects_a_malformed_address(capsys):
 
 def test_serve_process_ingests_answers_and_exits_on_sigint(tmp_path, capsys):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block-buffered
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
+        [sys.executable, "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
          "--admin", "127.0.0.1:0", "--store", str(tmp_path / "store.log")],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
     try:

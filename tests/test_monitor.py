@@ -397,6 +397,39 @@ def test_timed_out_command_clears_pending(tmp_path):
         handle.stop()
 
 
+def test_stop_settles_open_tickets(tmp_path):
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                   store_path=tmp_path / "store.log", command_timeout=0.2)
+    try:
+        client = Client(handle)
+        client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+        client.recv()
+        ticket = handle.dispatch_command(10, wire.SwitchOpcode.SWITCH_ON)
+        client.recv()  # swallow the COMMAND, never answer
+        handle.stop()  # the timeout timer dies with the loop
+        assert ticket.state is TicketState.TIMED_OUT
+        handle.start()
+        assert handle.ticket(ticket.ticket_id).state is TicketState.TIMED_OUT
+        client.close()
+    finally:
+        handle.stop()
+
+
+def test_disconnect_settles_open_tickets_before_the_timeout(tmp_path):
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0),
+                   store_path=tmp_path / "store.log", command_timeout=60)
+    try:
+        client = Client(handle)
+        client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+        client.recv()
+        ticket = handle.dispatch_command(10, wire.SwitchOpcode.SWITCH_ON)
+        client.recv()
+        client.close()
+        assert wait_for(lambda: ticket.state is TicketState.TIMED_OUT)
+    finally:
+        handle.stop()
+
+
 def test_finished_tickets_are_bounded(service, monkeypatch):
     monkeypatch.setattr(monitor, "TICKET_RETENTION", 3)
     client = Client(service)

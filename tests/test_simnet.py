@@ -426,7 +426,7 @@ def test_network_delivers_every_reachable_reading(table1_topology):
     assert net.readings_emitted > 0
     assert net.frames_dropped == 0
     # everything emitted at least max-hops ticks before the end has landed
-    in_flight = sum(len(v) for v in net._due.values())
+    in_flight = len(net._in_flight)
     assert len(sensor_up) + in_flight == net.readings_emitted
 
 
@@ -459,6 +459,32 @@ def test_network_trace_shape_for_one_reading():
     assert ticks == sorted(ticks)
 
 
+def test_tick_timeline_of_a_command_and_an_alarm(table1_topology):
+    # frames sent in a tick are delivered at the end of the next: one hop per tick
+    net = SimNetwork(table1_topology, 5, sample_period=1000)
+    net.run(1)  # every node wakes at tick 0, next at tick 1000
+    start = len(net.trace)
+    net.inject_datagram(wire.Datagram(wire.MsgType.COMMAND, 7, 10,
+                                      wire.encode_command_payload(10, wire.SwitchOpcode.SWITCH_ON)))
+    net.inject_alarm(7, "1234181131010158")
+    net.run(6)
+    trace = net.trace[start:]
+
+    def picked(*details):
+        return [event[:4] for event in trace if event[4] in details]
+
+    assert picked("type=COMMAND seq=7", "kind=command route=1-5-10", "kind=command",
+                  "state=on", "kind=sensor-reading route=10-5-1") == [
+        (1, "downlink", 0, 1), (1, "send", 1, 10), (2, "relay", 5, 10),
+        (3, "switch", 10, 1), (3, "send", 10, 1)]
+    # the tick-0 readings have all landed by tick 3, so ticks 4 and 5 carry only the ack
+    assert [event[:4] for event in trace if event[0] >= 4] == [
+        (4, "relay", 5, 1), (5, "deliver", 10, 1), (5, "uplink", 10, 0)]
+    assert trace[-1][4] == "type=ACK seq=7"
+    assert picked("1234181131010158", "kind=alarm route=7-3-1", "kind=alarm") == [
+        (1, "alarm", 7, 1), (1, "send", 7, 1), (2, "relay", 3, 1), (3, "deliver", 7, 1)]
+
+
 def test_network_command_round_trip_switches_node(table1_topology):
     net = build_net(table1_topology)
     command = wire.Datagram(wire.MsgType.COMMAND, 5, 10,
@@ -479,6 +505,12 @@ def test_network_alarm_reaches_uplink(table1_topology):
     assert len(alarms) == 1
     assert alarms[0].payload == b"1234181131010158"
     assert alarms[0].src_node == 7
+
+
+def test_network_discovery_from_node_zero_is_unknown(table1_topology):
+    net = build_net(table1_topology)
+    with pytest.raises(UnknownNode):
+        net.run_discovery(0)
 
 
 def test_network_alarm_unknown_node(table1_topology):

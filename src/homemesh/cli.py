@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import select
 import socket
@@ -17,17 +18,19 @@ import time
 from dataclasses import dataclass
 
 from . import monitor, wire
-from .errors import HomemeshError
+from .errors import HomemeshError, InvalidInput
 from .netmodel import Topology, load_topology, reference_topology, topology_digest
 from .routing import (
     CountingMode,
     RouteQuery,
+    Routes,
     VisitStats,
     all_pairs_profile,
     brute_force_route,
     find_optimal_path,
+    tally_pairs,
 )
-from .simnet import SimConfig, SimNetwork, run_discovery, run_traffic, trace_line
+from .simnet import SimConfig, SimNetwork, draw_pairs, run_discovery, trace_line
 
 
 def _fmt(value: float) -> str:
@@ -123,10 +126,19 @@ class ExperimentReport:
 
 def run_experiment(topology: Topology, radius: float, transmissions: int, seed: int,
                    mode: CountingMode, out_path: str | None) -> ExperimentReport:
-    """Run seeded traffic plus the analytic profile; optionally emit visits.csv."""
+    """Run seeded traffic plus the analytic profile; optionally emit visits.csv.
+
+    The two are run_traffic and all_pairs_profile on one Routes, so each
+    source's tree is built once for both.
+    """
     started = time.perf_counter()
-    stats = run_traffic(topology, SimConfig(radius, transmissions, seed, mode))
-    analytic = all_pairs_profile(topology.table, radius, mode)
+    config = SimConfig(radius, transmissions, seed, mode)
+    if topology.n < 2:
+        raise InvalidInput("traffic needs at least 2 nodes")
+    routes = Routes(topology.table, radius)
+    stats = tally_pairs(routes, draw_pairs(topology.n, config.transmissions, config.seed),
+                        config.mode)
+    analytic = tally_pairs(routes, itertools.permutations(topology.nodes, 2), config.mode)
     pair_count = topology.n * (topology.n - 1)
     expected = {
         node: transmissions * analytic.counts[node] / pair_count

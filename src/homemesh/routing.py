@@ -12,6 +12,12 @@ float ties included: a label, once settled, is never changed by the rest of
 the search, so stopping early only leaves later nodes unsettled. Routes is
 the one owner of trees: callers that route many pairs on a table at a radius
 ask one Routes object, which builds each source's tree on first use.
+
+A Routes builds one radius-pruned adjacency, each node's (next node, cost)
+pairs within the radius, with its first tree and shares it with every later
+tree, so a tree costs n times the degree instead of n squared. A single
+find_optimal_path query keeps the row scan: it settles only part of the net,
+and building the adjacency for it costs more than the scan it saves.
 """
 
 from __future__ import annotations
@@ -80,7 +86,8 @@ def _check_query(table: DistanceTable, query: RouteQuery) -> None:
     _check_radius(query.radius)
 
 
-def _label_search(table: DistanceTable, src: int, radius: float, stop: int | None = None):
+def _label_search(table: DistanceTable, src: int, radius: float, stop: int | None = None,
+                  edges=None):
     """The (dist, hops, path) label settled for each node id, None if unreached.
 
     Dijkstra over the radius-pruned edge set with composite labels: heap
@@ -89,6 +96,11 @@ def _label_search(table: DistanceTable, src: int, radius: float, stop: int | Non
     as soon as `stop` is settled; without a stop it settles every reachable
     node. A push is skipped unless its label is strictly below the best one
     already queued for that node, which never removes a node's minimum.
+
+    A settled node's out-edges come from `edges[node]`, a list of (next node,
+    cost) pairs in id order, when an adjacency is given, and from a scan of
+    its whole cost row otherwise; the two offer the same usable edges in the
+    same order.
     """
     cost = table.cost
     n = table.n
@@ -104,7 +116,7 @@ def _label_search(table: DistanceTable, src: int, radius: float, stop: int | Non
         settled[node] = label
         if node == stop:
             break
-        for nxt, edge in enumerate(cost[node - 1], 1):
+        for nxt, edge in (enumerate(cost[node - 1], 1) if edges is None else edges[node]):
             if edge <= radius and settled[nxt] is None:
                 candidate = (dist + edge, hops + 1, path + (nxt,))
                 best = queued[nxt]
@@ -130,16 +142,18 @@ def find_optimal_path(table: DistanceTable, query: RouteQuery) -> Route:
     return Route(path, dist, hops)
 
 
-def shortest_path_tree(table: DistanceTable, src: int,
-                       radius: float) -> list[tuple[int, ...] | None]:
+def shortest_path_tree(table: DistanceTable, src: int, radius: float,
+                       edges=None) -> list[tuple[int, ...] | None]:
     """Every node's best route from `src`, indexed by node id.
 
     Entry v is the path find_optimal_path returns for (src, v, radius), or
-    None when v is unreachable; entry 0 is always None.
+    None when v is unreachable; entry 0 is always None. `edges` is the
+    table's adjacency at this radius, as Routes builds it; without it the
+    search scans cost rows, with the same result.
     """
     table.check_node(src)
     _check_radius(radius)
-    return [label and label[2] for label in _label_search(table, src, radius)]
+    return [label and label[2] for label in _label_search(table, src, radius, edges=edges)]
 
 
 class Routes:
@@ -147,7 +161,9 @@ class Routes:
 
     path(src, dst) is the path find_optimal_path returns for (src, dst,
     radius), or None when dst is unreachable. A source's tree is built on its
-    first pair and kept for the life of the object.
+    first pair and kept for the life of the object. The first tree also
+    builds the radius-pruned adjacency that every tree then searches: entry
+    v lists the (next node, cost) pairs of v's cost row within the radius.
     """
 
     def __init__(self, table: DistanceTable, radius: float):
@@ -155,13 +171,21 @@ class Routes:
         self.table = table
         self.radius = radius
         self._trees: list[list[tuple[int, ...] | None] | None] = [None] * (table.n + 1)
+        self._edges: list[list[tuple[int, float]]] | None = None
 
     def path(self, src: int, dst: int) -> tuple[int, ...] | None:
         self.table.check_node(src)
         self.table.check_node(dst)
         tree = self._trees[src]
         if tree is None:
-            tree = self._trees[src] = shortest_path_tree(self.table, src, self.radius)
+            if self._edges is None:
+                radius = self.radius
+                self._edges = [[]] + [
+                    [(nxt, edge) for nxt, edge in enumerate(row, 1) if edge <= radius]
+                    for row in self.table.cost
+                ]
+            tree = self._trees[src] = shortest_path_tree(self.table, src, self.radius,
+                                                         self._edges)
         return tree[dst]
 
 

@@ -214,21 +214,23 @@ def trace_line(tick: int, event: str, src: int, dst: int, detail: str) -> str:
     return f"{tick}\t{event}\t{src}\t{dst}\t{detail}"
 
 
-def run_discovery(topology: Topology, root: int, trace=None) -> tuple[DistanceTable, int]:
+def run_discovery(topology: Topology, root: int, trace=None,
+                  tick: int = 0) -> tuple[DistanceTable, int]:
     """Root floods one request; every other node reports its id and location
     (or distance row); the assembled table equals the ground truth exactly.
 
     Discovery is reliable flooding, independent of the data-plane radius.
-    Returns (table, message_count) with message_count = 1 + (n - 1).
+    Returns (table, message_count) with message_count = 1 + (n - 1). Trace
+    events carry `tick`, the time the flood starts.
     """
     topology.table.check_node(root)
     positions = topology.positions
     if trace is not None:
-        trace.append((0, "discovery-request", root, 0, "broadcast"))
+        trace.append((tick, "discovery-request", root, 0, "broadcast"))
         for node in topology.nodes:
             if node != root:
                 detail = "distance-row" if positions is None else f"pos={positions[node - 1]}"
-                trace.append((0, "discovery-report", node, root, detail))
+                trace.append((tick, "discovery-report", node, root, detail))
     table = topology.table if positions is None else table_from_positions(positions)
     return table, topology.n
 
@@ -375,7 +377,7 @@ class SimNetwork:
     def run_discovery(self, root: int | None = None) -> tuple[DistanceTable, int]:
         return run_discovery(self.topology,
                              root if root is not None else self.topology.coordinator,
-                             trace=self.trace)
+                             trace=self.trace, tick=self.now)
 
     # --- the loop ---------------------------------------------------------
 

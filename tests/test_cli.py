@@ -10,10 +10,11 @@ import sys
 
 import pytest
 
-from homemesh import monitor, wire
+from homemesh import monitor, routing, wire
 from homemesh.cli import main, run_experiment
+from homemesh.errors import InvalidInput
 from homemesh.monitor import serve
-from homemesh.netmodel import load_topology
+from homemesh.netmodel import load_topology, topology_from_positions
 from homemesh.routing import CountingMode
 
 from conftest import REPO_ROOT, TABLE1_PATH
@@ -96,6 +97,29 @@ def test_simulate_stable_output_excludes_runtime(tmp_path):
     first = run_experiment(topology, 5, 200, 9, CountingMode.TRANSMITTERS_ONLY, None)
     second = run_experiment(topology, 5, 200, 9, CountingMode.TRANSMITTERS_ONLY, None)
     assert first.stable_lines() == second.stable_lines()
+
+
+def test_simulate_builds_one_tree_per_source(monkeypatch):
+    calls = []
+    original = routing.shortest_path_tree
+
+    def counted(table, src, radius, edges=None):
+        calls.append(src)
+        return original(table, src, radius, edges)
+
+    monkeypatch.setattr(routing, "shortest_path_tree", counted)
+    topology = load_topology(TABLE1)
+    run_experiment(topology, 5, 500, 123, CountingMode.TRANSMITTERS_ONLY, None)
+    # the profile routes from every node, so every node is a source
+    assert sorted(calls) == list(topology.nodes)
+
+
+def test_simulate_rejects_tiny_topology_and_negative_transmissions():
+    with pytest.raises(InvalidInput):
+        run_experiment(topology_from_positions([(0.0, 0.0)]), 5, 10, 1,
+                       CountingMode.TRANSMITTERS_ONLY, None)
+    with pytest.raises(InvalidInput):
+        run_experiment(load_topology(TABLE1), 5, -1, 1, CountingMode.TRANSMITTERS_ONLY, None)
 
 
 def test_profile_top3(capsys):

@@ -347,6 +347,20 @@ def test_tree_paths_match_enumeration(rows, radius):
             assert tree[dst] == (None if best is None else best[2])
 
 
+@given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_routes_match_enumeration(rows, radius):
+    # Routes searches its radius-pruned adjacency, not the cost rows; directed
+    # tables check it reads costs from the sender's row, tied costs that ties
+    # still break on the node sequence
+    table = DistanceTable.from_rows(rows)
+    routes = Routes(table, radius)
+    for src in table.nodes:
+        for dst in table.nodes:
+            best = enum_best_route(table.cost, src, dst, radius)
+            assert routes.path(src, dst) == (None if best is None else best[2])
+
+
 def planar60_table():
     """60 nodes at integer points of a 100 x 100 square; costs are exact sqrt."""
     rng = random.Random(60)
@@ -414,9 +428,9 @@ def test_routes_build_one_tree_per_source(table1, monkeypatch):
     calls = []
     original = routing.shortest_path_tree
 
-    def counted(table, src, radius):
+    def counted(table, src, radius, edges=None):
         calls.append(src)
-        return original(table, src, radius)
+        return original(table, src, radius, edges)
 
     monkeypatch.setattr(routing, "shortest_path_tree", counted)
     routes = Routes(table1, 5)

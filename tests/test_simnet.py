@@ -459,6 +459,18 @@ def test_network_trace_shape_for_one_reading():
     assert ticks == sorted(ticks)
 
 
+def test_network_discovery_is_stamped_with_the_current_tick(table1_topology):
+    net = build_net(table1_topology)
+    net.run(3)
+    start = len(net.trace)
+    net.run_discovery()
+    ticks = [int(line.split("\t")[0]) for line in net.trace_lines()]
+    assert ticks == sorted(ticks)
+    discovery = net.trace[start:]
+    assert len(discovery) == table1_topology.n
+    assert all(event[0] == 3 and event[1].startswith("discovery-") for event in discovery)
+
+
 def test_tick_timeline_of_a_command_and_an_alarm(table1_topology):
     # frames sent in a tick are delivered at the end of the next: one hop per tick
     net = SimNetwork(table1_topology, 5, sample_period=1000)
@@ -528,9 +540,9 @@ def tree_calls(monkeypatch):
     calls = []
     original = routing.shortest_path_tree
 
-    def counted(table, src, radius):
+    def counted(table, src, radius, edges=None):
         calls.append(src)
-        return original(table, src, radius)
+        return original(table, src, radius, edges)
 
     monkeypatch.setattr(routing, "shortest_path_tree", counted)
     return calls

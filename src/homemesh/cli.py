@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import select
 import socket
@@ -28,6 +27,7 @@ from .routing import (
     all_pairs_profile,
     brute_force_route,
     find_optimal_path,
+    tally_all_pairs,
     tally_pairs,
 )
 from .simnet import SimConfig, SimNetwork, draw_pairs, run_discovery, trace_line
@@ -128,8 +128,8 @@ def run_experiment(topology: Topology, radius: float, transmissions: int, seed: 
                    mode: CountingMode, out_path: str | None) -> ExperimentReport:
     """Run seeded traffic plus the analytic profile; optionally emit visits.csv.
 
-    The two are run_traffic and all_pairs_profile on one Routes, so each
-    source's tree is built once for both.
+    The two are run_traffic and the all-pairs fold on one Routes: the fold
+    reuses each tree the traffic kept and builds each missing one once.
     """
     started = time.perf_counter()
     config = SimConfig(radius, transmissions, seed, mode)
@@ -138,7 +138,7 @@ def run_experiment(topology: Topology, radius: float, transmissions: int, seed: 
     routes = Routes(topology.table, radius)
     stats = tally_pairs(routes, draw_pairs(topology.n, config.transmissions, config.seed),
                         config.mode)
-    analytic = tally_pairs(routes, itertools.permutations(topology.nodes, 2), config.mode)
+    analytic = tally_all_pairs(routes, config.mode)
     pair_count = topology.n * (topology.n - 1)
     expected = {
         node: transmissions * analytic.counts[node] / pair_count

@@ -9,9 +9,18 @@ One label search serves both kinds of query. find_optimal_path stops it when
 the destination is settled; shortest_path_tree runs it until the heap is
 empty and returns every node's route from the source. The two agree exactly,
 float ties included: a label, once settled, is never changed by the rest of
-the search, so stopping early only leaves later nodes unsettled. Routes is
-the one owner of trees: callers that route many pairs on a table at a radius
-ask one Routes object, which builds each source's tree on first use.
+the search, so stopping early only leaves later nodes unsettled. A candidate
+label is compared with the one queued for its node on (dist, hops) first; its
+path tuple is copied only when it wins there or ties on both. Routes is the
+one owner of trees: callers that route many pairs on a table at a radius ask
+one Routes object, which builds each source's tree on first use.
+
+The all-pairs profile never walks the n(n-1) paths. A tree is prefix-closed,
+so a node's visits over every route from the source follow from its subtree
+size (Brandes' dependency accumulation, one tree per source). The profile
+folds over the sources, tallying each tree and dropping it before building
+the next, so it holds one tree at a time; tally_pairs, which keeps every
+tree, serves drawn traffic, where pairs repeat.
 
 A Routes builds one radius-pruned adjacency, each node's (next node, cost)
 pairs within the radius, with its first tree and shares it with every later
@@ -23,7 +32,6 @@ and building the adjacency for it costs more than the scan it saves.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,11 +124,17 @@ def _label_search(table: DistanceTable, src: int, radius: float, stop: int | Non
         settled[node] = label
         if node == stop:
             break
+        next_hops = hops + 1
         for nxt, edge in (enumerate(cost[node - 1], 1) if edges is None else edges[node]):
             if edge <= radius and settled[nxt] is None:
-                candidate = (dist + edge, hops + 1, path + (nxt,))
+                next_dist = dist + edge
                 best = queued[nxt]
-                if best is None or candidate < best:
+                # the tuple order spelled out, so that the path is copied
+                # only for a label that wins or ties on (dist, hops)
+                if (best is None or next_dist < best[0] or next_dist == best[0] and (
+                        next_hops < best[1]
+                        or next_hops == best[1] and path + (nxt,) < best[2])):
+                    candidate = (next_dist, next_hops, path + (nxt,))
                     queued[nxt] = candidate
                     heapq.heappush(heap, candidate)
     return settled
@@ -161,9 +175,11 @@ class Routes:
 
     path(src, dst) is the path find_optimal_path returns for (src, dst,
     radius), or None when dst is unreachable. A source's tree is built on its
-    first pair and kept for the life of the object. The first tree also
-    builds the radius-pruned adjacency that every tree then searches: entry
-    v lists the (next node, cost) pairs of v's cost row within the radius.
+    first pair and kept for the life of the object. tree(src) hands out that
+    kept tree, or builds one it does not keep, for a caller that reads each
+    tree once. The first tree also builds the radius-pruned adjacency that
+    every tree then searches: entry v lists the (next node, cost) pairs of
+    v's cost row within the radius.
     """
 
     def __init__(self, table: DistanceTable, radius: float):
@@ -173,9 +189,9 @@ class Routes:
         self._trees: list[list[tuple[int, ...] | None] | None] = [None] * (table.n + 1)
         self._edges: list[list[tuple[int, float]]] | None = None
 
-    def path(self, src: int, dst: int) -> tuple[int, ...] | None:
+    def tree(self, src: int) -> list[tuple[int, ...] | None]:
+        """src's tree as shortest_path_tree returns it: the kept one, else a new one."""
         self.table.check_node(src)
-        self.table.check_node(dst)
         tree = self._trees[src]
         if tree is None:
             if self._edges is None:
@@ -184,8 +200,12 @@ class Routes:
                     [(nxt, edge) for nxt, edge in enumerate(row, 1) if edge <= radius]
                     for row in self.table.cost
                 ]
-            tree = self._trees[src] = shortest_path_tree(self.table, src, self.radius,
-                                                         self._edges)
+            tree = shortest_path_tree(self.table, src, self.radius, self._edges)
+        return tree
+
+    def path(self, src: int, dst: int) -> tuple[int, ...] | None:
+        tree = self._trees[src] = self.tree(src)
+        self.table.check_node(dst)
         return tree[dst]
 
 
@@ -275,8 +295,42 @@ def tally_pairs(routes: Routes, pairs, mode: CountingMode) -> VisitStats:
     return VisitStats(counts, relay_counts, delivered, unreachable, mode)
 
 
+def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
+    """What tally_pairs reports for every ordered pair, folded over one tree per source.
+
+    Each settled path extends its parent's settled path by one node, so
+    path[-2] is v's parent and each tree is prefix-closed. Below v hang
+    size[v] reached nodes, v included, and v lies on the route to each of
+    them. So v transmits on size[v] - 1 routes; a v other than the source
+    also relays on size[v] - 1 and is the receiver of one more, which only
+    ALL_PATH_NODES counts. Sizes are summed child to parent, longest paths
+    first. A tree is dropped once it is tallied, unless `routes` keeps it.
+    """
+    nodes = routes.table.nodes
+    n = routes.table.n
+    counts = [0] * (n + 1)
+    relay_counts = [0] * (n + 1)
+    receiver = 1 if mode is CountingMode.ALL_PATH_NODES else 0
+    delivered = 0
+    for src in nodes:
+        reached = [path for path in routes.tree(src) if path is not None]
+        reached.sort(key=len, reverse=True)
+        size = [1] * (n + 1)
+        for path in reached[:-1]:  # every reached node but the source, children first
+            node = path[-1]
+            below = size[node]
+            size[path[-2]] += below
+            counts[node] += below - 1 + receiver
+            relay_counts[node] += below - 1
+        counts[src] += len(reached) - 1
+        delivered += len(reached) - 1
+    return VisitStats({node: counts[node] for node in nodes},
+                      {node: relay_counts[node] for node in nodes},
+                      delivered, n * (n - 1) - delivered, mode)
+
+
 def all_pairs_profile(table: DistanceTable, radius: float, mode: CountingMode) -> VisitStats:
-    """Route every ordered pair once and tally the visits."""
+    """Route every ordered pair once and tally the visits, one tree at a time."""
     if table.n < 2:
         raise InvalidInput("profile needs at least 2 nodes")
-    return tally_pairs(Routes(table, radius), itertools.permutations(table.nodes, 2), mode)
+    return tally_all_pairs(Routes(table, radius), mode)

@@ -38,6 +38,16 @@ def test_route_headline(capsys):
     assert "hops: 2" in out
 
 
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "homemesh", "route", "--topology", TABLE1,
+         "--from", "1", "--to", "10", "--k", "5"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["path: 1 -> 5 -> 10", "dist: 10", "hops: 2"]
+
+
 def test_route_oracle_agrees(capsys):
     code, out, _ = run(capsys, "route", "--topology", TABLE1,
                        "--from", "4", "--to", "9", "--k", "5", "--oracle")

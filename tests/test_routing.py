@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homemesh import routing
@@ -14,7 +16,7 @@ from homemesh.errors import (
     NoPath,
     UnknownNode,
 )
-from homemesh.netmodel import DistanceTable
+from homemesh.netmodel import DistanceTable, table_from_positions
 from homemesh.routing import (
     CountingMode,
     RouteQuery,
@@ -24,6 +26,8 @@ from homemesh.routing import (
     find_optimal_path,
     path_distance,
     shortest_path_tree,
+    tally_all_pairs,
+    tally_pairs,
 )
 
 from conftest import random_symmetric_table
@@ -359,6 +363,42 @@ def test_routes_match_enumeration(rows, radius):
         for dst in table.nodes:
             best = enum_best_route(table.cost, src, dst, radius)
             assert routes.path(src, dst) == (None if best is None else best[2])
+
+
+@given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0]))
+@settings(max_examples=60, deadline=None)
+def test_profile_fold_matches_tally_over_every_pair(rows, radius):
+    # the fold sums subtree sizes; tally_pairs walks each of the n(n-1) paths
+    table = DistanceTable.from_rows(rows)
+    assume(table.n >= 2)
+    for mode in CountingMode:
+        routes = Routes(table, radius)
+        walked = tally_pairs(routes, itertools.permutations(table.nodes, 2), mode)
+        assert all_pairs_profile(table, radius, mode) == walked
+        assert tally_all_pairs(routes, mode) == walked  # from the trees routes kept
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_holds_one_tree_at_a_time():
+    # a Routes keeps every tree it built for path(); the profile keeps none.
+    # 200 nodes at the bench's density: 100 per 100 x 100 square, radius 30
+    rng = random.Random(200)
+    side = 100 * math.sqrt(2)
+    table = table_from_positions([(rng.uniform(0, side), rng.uniform(0, side))
+                                  for _ in range(200)])
+    mode = CountingMode.TRANSMITTERS_ONLY
+    pairs = list(itertools.permutations(table.nodes, 2))
+    kept = traced_peak(lambda: tally_pairs(Routes(table, 30.0), pairs, mode))
+    folded = traced_peak(lambda: all_pairs_profile(table, 30.0, mode))
+    assert folded <= kept / 4, (folded, kept)
 
 
 def planar60_table():

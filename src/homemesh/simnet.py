@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import wire
@@ -100,8 +100,8 @@ class RadioFrame:
             raise InvalidInput(
                 f"radio payload of {len(self.payload)} bytes exceeds {MAX_FRAME_PAYLOAD}"
             )
-        if self.hop_index > len(self.route):
-            raise InvalidInput(f"hop_index {self.hop_index} beyond route {self.route}")
+        if not 0 <= self.hop_index <= len(self.route):
+            raise InvalidInput(f"hop_index {self.hop_index} outside route {self.route}")
 
     @property
     def at_destination(self) -> bool:
@@ -161,11 +161,8 @@ def node_tick(state: NodeState, now: int) -> tuple[NodeState, list[RadioFrame]]:
     next_wake = state.next_wake + state.sample_period
     if next_wake <= now:  # catch up after missed wakes
         next_wake = now + state.sample_period
-    new_state = replace(
-        state,
-        last_reading=reading,
-        next_wake=next_wake,
-    )
+    new_state = NodeState(state.id, state.sample_period, next_wake, state.relay_switch,
+                          reading, state.coordinator, state.seed)
     frame = RadioFrame(
         src=state.id,
         dst=state.coordinator,
@@ -190,7 +187,8 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
             f"node {state.id} received frame out of turn (hop {frame.hop_index} of {list(route)})"
         )
     if not frame.at_destination:
-        return state, [replace(frame, hop_index=frame.hop_index + 1)]
+        return state, [RadioFrame(frame.src, frame.dst, frame.kind, frame.payload,
+                                  route, frame.hop_index + 1)]
     if frame.kind is FrameKind.COMMAND:
         _target, opcode = wire.decode_command_payload(frame.payload)
         switch = state.relay_switch
@@ -198,7 +196,8 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
             switch = SwitchState.ON
         elif opcode is wire.SwitchOpcode.SWITCH_OFF:
             switch = SwitchState.OFF
-        new_state = replace(state, relay_switch=switch)
+        new_state = NodeState(state.id, state.sample_period, state.next_wake, switch,
+                              state.last_reading, state.coordinator, state.seed)
         ack = RadioFrame(
             src=state.id,
             dst=state.coordinator,
@@ -340,6 +339,8 @@ class SimNetwork:
 
     def __init__(self, topology: Topology, radius: float, seed: int = 0,
                  sample_period: int = 50):
+        if sample_period < 1:
+            raise InvalidInput(f"sample_period must be >= 1 tick, got {sample_period}")
         self.topology = topology
         self.coordinator = Coordinator(topology.table, radius, topology.coordinator)
         self.routes = self.coordinator.routes
@@ -399,7 +400,7 @@ class SimNetwork:
             self.frames_dropped += 1
             self._log("drop", frame.src, frame.dst, f"no-route kind={frame.kind.value}")
             return
-        self._send(replace(frame, route=path, hop_index=1))
+        self._send(RadioFrame(frame.src, frame.dst, frame.kind, frame.payload, path, 1))
 
     def step(self) -> None:
         """Advance one tick: pump the uplink, wake due nodes, raise alarms, then

@@ -30,7 +30,8 @@ MAGIC = b"\xa5\x5a"
 VERSION = 1
 MAX_PAYLOAD = 1024
 HEADER = struct.Struct(">2sBBHHH")
-MIN_FRAME = HEADER.size + 4
+CRC = struct.Struct(">I")
+MIN_FRAME = HEADER.size + CRC.size
 
 
 class MsgType(IntEnum):
@@ -57,6 +58,9 @@ class Datagram:
     seq: int
     src_node: int
     payload: bytes = b""
+
+
+_MSG_TYPES = MsgType._value2member_map_
 
 
 class PayloadTooLarge(HomemeshError):
@@ -106,21 +110,41 @@ def encode_datagram(d: Datagram) -> bytes:
     msg_type = MsgType(d.msg_type)
     head = HEADER.pack(MAGIC, VERSION, msg_type, d.seq, d.src_node, len(d.payload))
     body = head + d.payload
-    return body + struct.pack(">I", zlib.crc32(body))
+    return body + CRC.pack(zlib.crc32(body))
 
 
-def _check_header(data: bytes) -> int:
-    """Validate the 10 header bytes; returns the declared payload length."""
-    magic, version, msg_type, _seq, _src, payload_len = HEADER.unpack_from(data)
+def _parse(data, start: int, stream: bool) -> tuple[Datagram, int] | None:
+    """Parse the frame that begins at data[start]; error offsets are frame-relative.
+
+    The header is checked as soon as its 10 bytes are present. Without
+    `stream`, data must hold exactly one frame (start is 0). With it, trailing
+    bytes are the next frames', and None means the frame is not complete yet.
+    Returns the datagram and the offset just past its frame.
+    """
+    magic, version, msg_type, seq, src_node, payload_len = HEADER.unpack_from(data, start)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic.hex()}", offset=0)
     if version != VERSION:
         raise UnsupportedVersion(f"unsupported version {version:#04x}", offset=2)
-    if msg_type not in MsgType._value2member_map_:
+    kind = _MSG_TYPES.get(msg_type)
+    if kind is None:
         raise UnknownType(f"unknown msg_type {msg_type:#04x}", offset=3)
     if payload_len > MAX_PAYLOAD:
         raise LengthMismatch(f"declared payload length {payload_len} exceeds {MAX_PAYLOAD}", offset=8)
-    return payload_len
+    body_end = start + HEADER.size + payload_len
+    end = body_end + CRC.size
+    if end > len(data):
+        if stream:
+            return None
+        raise Truncated(f"frame needs {end} bytes, got {len(data)}", offset=len(data))
+    if end < len(data) and not stream:
+        raise LengthMismatch(f"{len(data) - end} trailing bytes after a {end}-byte frame",
+                             offset=end)
+    (crc,) = CRC.unpack_from(data, body_end)
+    computed = zlib.crc32(data[start:body_end])
+    if crc != computed:
+        raise BadCrc(f"crc {crc:#010x} != computed {computed:#010x}", offset=body_end - start)
+    return Datagram(kind, seq, src_node, bytes(data[start + HEADER.size:body_end])), end
 
 
 def decode_datagram(data: bytes) -> Datagram:
@@ -128,20 +152,7 @@ def decode_datagram(data: bytes) -> Datagram:
     if len(data) < MIN_FRAME:
         raise Truncated(f"frame of {len(data)} bytes is below the {MIN_FRAME}-byte minimum",
                         offset=len(data))
-    payload_len = _check_header(data)
-    total = MIN_FRAME + payload_len
-    if len(data) < total:
-        raise Truncated(f"frame needs {total} bytes, got {len(data)}", offset=len(data))
-    if len(data) > total:
-        raise LengthMismatch(f"{len(data) - total} trailing bytes after a {total}-byte frame",
-                             offset=total)
-    body = data[: HEADER.size + payload_len]
-    (crc,) = struct.unpack_from(">I", data, HEADER.size + payload_len)
-    if crc != zlib.crc32(body):
-        raise BadCrc(f"crc {crc:#010x} != computed {zlib.crc32(body):#010x}",
-                     offset=HEADER.size + payload_len)
-    _, _, msg_type, seq, src_node, _ = HEADER.unpack_from(data)
-    return Datagram(MsgType(msg_type), seq, src_node, bytes(data[HEADER.size:HEADER.size + payload_len]))
+    return _parse(data, 0, False)[0]
 
 
 class StreamDecoder:
@@ -149,22 +160,27 @@ class StreamDecoder:
 
     feed() returns every complete datagram buffered so far and raises the
     usual decode errors as soon as a malformed header or body is visible.
+    The frames before a malformed one are consumed, and the malformed one
+    stays buffered.
     """
 
     def __init__(self):
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list[Datagram]:
-        self._buf.extend(data)
+        buf = self._buf
+        buf.extend(data)
         out = []
-        while len(self._buf) >= HEADER.size:
-            payload_len = _check_header(bytes(self._buf[:HEADER.size]))
-            total = MIN_FRAME + payload_len
-            if len(self._buf) < total:
-                break
-            frame = bytes(self._buf[:total])
-            del self._buf[:total]
-            out.append(decode_datagram(frame))
+        start = 0
+        try:
+            while len(buf) - start >= HEADER.size:
+                parsed = _parse(buf, start, True)
+                if parsed is None:
+                    break
+                datagram, start = parsed
+                out.append(datagram)
+        finally:
+            del buf[:start]
         return out
 
     @property

@@ -2,9 +2,12 @@
 
 Nothing here imports from homemesh: the enumeration router, the bitwise CRC,
 and the generator below are written from their definitions so the tests stay
-a second, separate route to every checked value.
+a second, separate route to every checked value. The tick-loop copies at the
+end derive a frame or node state with dataclasses.replace, which carries over
+every field it is not told to change, whatever fields the class has.
 """
 
+import dataclasses
 import itertools
 
 MASK64 = (1 << 64) - 1
@@ -61,3 +64,27 @@ def cid_checksum_brute(digits15: str):
     value = lambda ch: 10 if ch == "0" else int(ch)
     total = sum(value(ch) for ch in digits15)
     return [c for c in "0123456789" if (total + value(c)) % 15 == 0]
+
+
+def woken_by_replace(state, now, reading):
+    """The state of a due node after one wake: it keeps `reading` and sleeps
+    until next_wake + sample_period, or now + sample_period if that is past."""
+    next_wake = state.next_wake + state.sample_period
+    if next_wake <= now:
+        next_wake = now + state.sample_period
+    return dataclasses.replace(state, next_wake=next_wake, last_reading=reading)
+
+
+def relayed_by_replace(frame):
+    """A frame passed on to the next node of its route."""
+    return dataclasses.replace(frame, hop_index=frame.hop_index + 1)
+
+
+def switched_by_replace(state, switch):
+    """A node state with its relay switch set to `switch`."""
+    return dataclasses.replace(state, relay_switch=switch)
+
+
+def routed_by_replace(frame, route):
+    """A node-originated frame with its route attached, on the air toward route[1]."""
+    return dataclasses.replace(frame, route=route, hop_index=1)

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homemesh import routing, simnet, wire
 from homemesh.errors import InvalidInput, MisroutedFrame, UnknownNode
@@ -29,7 +32,13 @@ from homemesh.simnet import (
 )
 
 from conftest import random_symmetric_table
-from reference_impls import splitmix64_stream
+from reference_impls import (
+    relayed_by_replace,
+    routed_by_replace,
+    splitmix64_stream,
+    switched_by_replace,
+    woken_by_replace,
+)
 
 # frozen reference output for seed 42 (cross-implementation determinism)
 SPLITMIX_SEED42 = [
@@ -200,10 +209,94 @@ def test_radio_frame_hop_index_bound():
         RadioFrame(src=1, dst=2, kind=FrameKind.SENSOR_READING, route=(1, 2), hop_index=3)
 
 
+def test_radio_frame_rejects_negative_hop_index():
+    # hop -1 would put route[-1], the destination, in turn to relay it back
+    with pytest.raises(InvalidInput):
+        RadioFrame(src=1, dst=3, kind=FrameKind.COMMAND, route=(1, 2, 3), hop_index=-1)
+
+
 @pytest.mark.parametrize("payload", [b"", b"\x01\x02", b"SWACK\x01", b"SWACK\x01\x01\x00"])
 def test_parse_switch_ack_rejects_other_payloads(payload):
     with pytest.raises(InvalidInput):
         parse_switch_ack(payload)
+
+
+# --- direct construction against dataclasses.replace ----------------------------
+
+NODE_FIELDS = {
+    "id": st.integers(1, 30),
+    "sample_period": st.integers(1, 100),
+    "next_wake": st.integers(0, 1000),
+    "relay_switch": st.sampled_from(SwitchState),
+    "last_reading": st.integers(0, 0xFFFF),
+    "coordinator": st.integers(1, 30),
+    "seed": st.integers(0, 2**64 - 1),
+}
+FRAME_FIELDS = {  # route and hop_index are drawn together by held_frames
+    "src": st.integers(1, 30),
+    "dst": st.integers(1, 30),
+    "kind": st.sampled_from(FrameKind),
+    "payload": st.binary(max_size=simnet.MAX_FRAME_PAYLOAD),
+}
+
+
+def test_strategies_cover_every_field():
+    # a field added to either class needs a strategy here, or the checks
+    # below could not see a direct constructor in simnet that drops it
+    assert set(NODE_FIELDS) == {f.name for f in dataclasses.fields(NodeState)}
+    assert set(FRAME_FIELDS) | {"route", "hop_index"} == {
+        f.name for f in dataclasses.fields(RadioFrame)}
+
+
+@st.composite
+def held_frames(draw, case):
+    """A node and a frame it holds in turn: one to relay ("relay"), or one
+    addressed to it ("command", or "other" for a reading or an alarm)."""
+    route = tuple(draw(st.lists(st.integers(1, 30), min_size=2, max_size=6, unique=True)))
+    frame = {name: draw(strategy) for name, strategy in FRAME_FIELDS.items()}
+    frame["route"] = route
+    if case == "relay":
+        frame["hop_index"] = draw(st.integers(0, len(route) - 2))
+    else:
+        frame["hop_index"] = len(route) - 1
+    if case == "command":
+        frame["kind"] = FrameKind.COMMAND
+        frame["payload"] = wire.encode_command_payload(
+            draw(st.integers(0, 0xFF)), draw(st.sampled_from(wire.SwitchOpcode)))
+    elif case == "other":
+        frame["kind"] = draw(st.sampled_from([FrameKind.SENSOR_READING, FrameKind.ALARM]))
+    state = {name: draw(strategy) for name, strategy in NODE_FIELDS.items()}
+    state["id"] = route[frame["hop_index"]]
+    return NodeState(**state), RadioFrame(**frame)
+
+
+@given(state=st.builds(NodeState, **NODE_FIELDS), now=st.integers(0, 2000))
+def test_node_tick_builds_the_state_replace_would(state, now):
+    new, frames = node_tick(state, now)
+    if now < state.next_wake:
+        assert (new, frames) == (state, [])
+        return
+    assert new == woken_by_replace(state, now, synthetic_reading(state.id, now, state.seed))
+    assert len(frames) == 1
+
+
+@pytest.mark.parametrize("case", ["relay", "command", "other"])
+@given(data=st.data())
+def test_node_on_receive_builds_what_replace_would(case, data):
+    state, frame = data.draw(held_frames(case))
+    new, out = node_on_receive(state, frame)
+    if case == "relay":
+        assert (new, out) == (state, [relayed_by_replace(frame)])
+    elif case == "command":
+        _target, opcode = wire.decode_command_payload(frame.payload)
+        switch = {wire.SwitchOpcode.SWITCH_ON: SwitchState.ON,
+                  wire.SwitchOpcode.SWITCH_OFF: SwitchState.OFF}.get(opcode, state.relay_switch)
+        assert new == switched_by_replace(state, switch)
+        assert out == [RadioFrame(src=state.id, dst=state.coordinator,
+                                  kind=FrameKind.SENSOR_READING,
+                                  payload=switch_ack_payload(opcode, switch))]
+    else:
+        assert (new, out) == (state, [])
 
 
 # --- discovery ---------------------------------------------------------------------
@@ -417,6 +510,19 @@ def test_bad_radius_raises_at_construction(table1_topology, radius):
         SimNetwork(table1_topology, radius)
     with pytest.raises(InvalidInput):
         run_traffic(table1_topology, SimConfig(radius, 0, 1))
+
+
+@pytest.mark.parametrize("period", [0, -3])
+def test_sample_period_below_one_raises_at_construction(table1_topology, period):
+    with pytest.raises(InvalidInput):
+        SimNetwork(table1_topology, 5.0, sample_period=period)
+
+
+def test_launch_attaches_the_route_replace_would(table1_topology):
+    net = build_net(table1_topology)
+    frame = RadioFrame(src=7, dst=1, kind=FrameKind.ALARM, payload=b"1234181131010158")
+    net._launch(frame)
+    assert net._in_flight == [routed_by_replace(frame, net.routes.path(7, 1))]
 
 
 def test_network_delivers_every_reachable_reading(table1_topology):

@@ -176,6 +176,49 @@ def test_stream_raises_on_corrupt_crc_mid_stream():
         decoder.feed(bytes(bad))
 
 
+def _pieces(blob, cuts):
+    """blob split at the sorted cut points; each piece comes with the number of
+    bytes fed once it has been fed."""
+    return [(stop, blob[start:stop]) for start, stop in zip([0, *cuts], [*cuts, len(blob)])]
+
+
+@given(st.lists(datagrams, min_size=1, max_size=5), st.data())
+@settings(max_examples=100)
+def test_stream_agrees_with_decode_datagram(frames, data):
+    encoded = [wire.encode_datagram(d) for d in frames]
+    starts = [sum(map(len, encoded[:i])) for i in range(len(encoded) + 1)]
+    blob = b"".join(encoded)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=6)))
+
+    decoder = wire.StreamDecoder()
+    out = []
+    for fed, piece in _pieces(blob, cuts):
+        out.extend(decoder.feed(piece))
+        complete = max(i for i, end in enumerate(starts) if end <= fed)
+        assert out == frames[:complete]
+        assert decoder.pending == fed - starts[complete]
+    assert out == frames
+
+    # one flipped byte; the length field is left alone, since a new length
+    # re-frames the stream and the stream then sees a different frame
+    bad = data.draw(st.integers(0, len(frames) - 1))
+    position = data.draw(st.integers(0, len(encoded[bad]) - 1).filter(lambda i: i not in (8, 9)))
+    corrupt = bytearray(encoded[bad])
+    corrupt[position] ^= data.draw(st.integers(1, 0xFF))
+    with pytest.raises(wire.ProtocolError) as alone:
+        wire.decode_datagram(bytes(corrupt))
+    blob = b"".join([*encoded[:bad], bytes(corrupt), *encoded[bad + 1:]])
+
+    decoder = wire.StreamDecoder()
+    with pytest.raises(wire.ProtocolError) as streamed:
+        for fed, piece in _pieces(blob, cuts):
+            decoder.feed(piece)
+    assert type(streamed.value) is type(alone.value)
+    assert streamed.value.offset == alone.value.offset
+    # the frames before the bad one are consumed; it stays buffered
+    assert decoder.pending == fed - starts[bad]
+
+
 # --- command payloads ------------------------------------------------------------
 
 

@@ -37,11 +37,17 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+def _parse_port(text: str) -> int:
+    if not text.isdigit() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"expected a port in 0-65535, got {text!r}")
+    return int(text)
+
+
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
+    return host, _parse_port(port)
 
 
 def _load(args) -> Topology:
@@ -473,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ticks", type=int, default=300, help="tick budget per stage")
     p.add_argument("--target", type=int, default=10, help="switch command target node")
     p.add_argument("--alarm-node", type=int, default=7)
-    p.add_argument("--port", type=int, default=0, help="monitor port (0 = ephemeral)")
+    p.add_argument("--port", type=_parse_port, default=0, help="monitor port (0 = ephemeral)")
     p.add_argument("--store", default=None)
     p.add_argument("--command-timeout", type=float, default=monitor.DEFAULT_COMMAND_TIMEOUT)
     p.set_defaults(func=cmd_demo)

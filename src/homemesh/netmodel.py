@@ -16,9 +16,6 @@ from .errors import AsymmetricTable, InvalidInput, UnknownNode
 
 Position = tuple[float, float]
 
-# max |table entry - Euclidean distance| tolerated when both are supplied
-POSITION_TOLERANCE = 1e-9
-
 
 class SymmetryPolicy(Enum):
     """How validate_table treats an asymmetric input matrix."""
@@ -67,13 +64,10 @@ class DistanceTable:
         return cls(frozen)
 
 
-def table_from_positions(positions) -> DistanceTable:
-    """Pairwise Euclidean distance table for planar node positions.
-
-    Output is exactly symmetric with a zero diagonal; distances are unrounded.
-    """
+def _points(positions) -> tuple[Position, ...]:
+    """Positions as a tuple of finite (x, y) float pairs, or InvalidInput."""
     try:
-        pts = [(float(x), float(y)) for x, y in positions]
+        pts = tuple((float(x), float(y)) for x, y in positions)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"positions must be (x, y) pairs of reals: {exc}") from exc
     if not pts:
@@ -81,6 +75,15 @@ def table_from_positions(positions) -> DistanceTable:
     for x, y in pts:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InvalidInput(f"non-finite coordinate ({x}, {y})")
+    return pts
+
+
+def table_from_positions(positions) -> DistanceTable:
+    """Pairwise Euclidean distance table for planar node positions.
+
+    Output is exactly symmetric with a zero diagonal; distances are unrounded.
+    """
+    pts = _points(positions)
     n = len(pts)
     cost = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -98,7 +101,10 @@ def validate_table(raw, policy: SymmetryPolicy = SymmetryPolicy.STRICT) -> Dista
     the upper triangle onto the lower (upper wins). Entries must be finite,
     non-negative, and zero on the diagonal.
     """
-    rows = [[float(x) for x in row] for row in raw]
+    try:
+        rows = [[float(x) for x in row] for row in raw]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"distance table entries must be reals: {exc}") from exc
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise InvalidInput("distance table must be a non-empty square matrix")
@@ -130,7 +136,10 @@ def neighbors(table: DistanceTable, v: int, radius: float) -> set[int]:
 
 @dataclass(frozen=True)
 class Topology:
-    """A concrete network: distance table, optional positions, coordinator id."""
+    """A concrete network: distance table, optional positions, coordinator id.
+
+    With positions, the table must be exactly table_from_positions(positions).
+    """
 
     table: DistanceTable
     positions: tuple[Position, ...] | None = None
@@ -138,19 +147,8 @@ class Topology:
 
     def __post_init__(self):
         self.table.check_node(self.coordinator)
-        n = self.table.n
-        if self.positions is not None:
-            if len(self.positions) != n:
-                raise InvalidInput(
-                    f"{len(self.positions)} positions for a {n}-node table"
-                )
-            euclid = table_from_positions(self.positions)
-            for i in range(n):
-                for j in range(n):
-                    if abs(self.table.cost[i][j] - euclid.cost[i][j]) > POSITION_TOLERANCE:
-                        raise InvalidInput(
-                            f"table disagrees with positions at ({i + 1}, {j + 1})"
-                        )
+        if self.positions is not None and self.table != table_from_positions(self.positions):
+            raise InvalidInput("table is not the Euclidean table of its positions")
 
     @property
     def n(self) -> int:
@@ -162,7 +160,7 @@ class Topology:
 
 
 def topology_from_positions(positions, coordinator: int = 1) -> Topology:
-    pts = tuple((float(x), float(y)) for x, y in positions)
+    pts = _points(positions)
     return Topology(table=table_from_positions(pts), positions=pts, coordinator=coordinator)
 
 

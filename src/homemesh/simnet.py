@@ -15,7 +15,7 @@ from enum import Enum
 
 from . import wire
 from .errors import InvalidInput, MisroutedFrame, UnknownNode
-from .netmodel import DistanceTable, Topology, table_from_positions
+from .netmodel import DistanceTable, Topology
 from .routing import CountingMode, Routes, VisitStats, tally_pairs
 
 MAX_FRAME_PAYLOAD = 96  # small-frame discipline for the radio side
@@ -216,11 +216,11 @@ def trace_line(tick: int, event: str, src: int, dst: int, detail: str) -> str:
 def run_discovery(topology: Topology, root: int, trace=None,
                   tick: int = 0) -> tuple[DistanceTable, int]:
     """Root floods one request; every other node reports its id and location
-    (or distance row); the assembled table equals the ground truth exactly.
+    (or distance row); the assembled table is the topology's own table.
 
     Discovery is reliable flooding, independent of the data-plane radius.
-    Returns (table, message_count) with message_count = 1 + (n - 1). Trace
-    events carry `tick`, the time the flood starts.
+    Returns (topology.table, message_count) with message_count = 1 + (n - 1).
+    Trace events carry `tick`, the time the flood starts.
     """
     topology.table.check_node(root)
     positions = topology.positions
@@ -230,8 +230,7 @@ def run_discovery(topology: Topology, root: int, trace=None,
             if node != root:
                 detail = "distance-row" if positions is None else f"pos={positions[node - 1]}"
                 trace.append((tick, "discovery-report", node, root, detail))
-    table = topology.table if positions is None else table_from_positions(positions)
-    return table, topology.n
+    return topology.table, topology.n
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,10 @@ class Coordinator:
     def _handle_datagram(self, d: wire.Datagram) -> tuple[list[wire.Datagram], list[RadioFrame]]:
         if d.msg_type is not wire.MsgType.COMMAND:
             return [], []  # monitor-side ACK/NACK of our uplink traffic
-        target, _opcode = wire.decode_command_payload(d.payload)
+        try:
+            target, _opcode = wire.decode_command_payload(d.payload)
+        except InvalidInput:
+            return [wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)], []
         nack = wire.Datagram(wire.MsgType.NACK, d.seq, target)
         if not 1 <= target <= self.routes.table.n or target == self.node_id:
             return [nack], []
@@ -393,8 +395,6 @@ class SimNetwork:
 
     def _launch(self, frame: RadioFrame) -> None:
         """Attach a route to a node-originated frame and put it on the air."""
-        if frame.src == frame.dst:
-            return
         path = self.routes.path(frame.src, frame.dst)
         if path is None:
             self.frames_dropped += 1
@@ -448,10 +448,8 @@ class SimNetwork:
             if out.route:
                 self._log("relay", holder, out.route[out.hop_index], f"kind={out.kind.value}")
                 self._in_flight.append(out)
-            else:
-                if out.kind is FrameKind.SENSOR_READING and is_switch_ack(out.payload):
-                    self._log("switch", holder, out.dst,
-                              f"state={state.relay_switch.value}")
+            else:  # a switch acknowledgment, the only frame a node answers with
+                self._log("switch", holder, out.dst, f"state={state.relay_switch.value}")
                 self._launch(out)
 
     def _emit_uplink(self, datagrams) -> None:

@@ -265,6 +265,20 @@ def test_serve_rejects_a_malformed_address(capsys):
     assert "expected HOST:PORT, got 'nonsense'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("serve", "--listen", "127.0.0.1:70000"),
+    ("serve", "--admin", "127.0.0.1:65536"),
+    ("query", "--admin", "127.0.0.1:99999"),
+    ("snapshot", "--admin", "127.0.0.1:70000"),
+    ("demo", "--port", "70000"),
+    ("demo", "--port", "-1"),
+])
+def test_ports_outside_0_to_65535_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "expected a port in 0-65535" in err
+
+
 def test_serve_process_ingests_answers_and_exits_on_sigint(tmp_path, capsys):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block-buffered

@@ -193,6 +193,11 @@ def test_topology_file_parse_error_has_line(tmp_path):
         {"positions": [[0, 0]], "matrix": [[0]]},
         {"matrix": [[0]], "coordinator": "one"},
         [],
+        {"positions": [[1, 2, 3]]},
+        {"positions": [["a", 0], [1, 1]]},
+        {"positions": 5},
+        {"matrix": [[0, "x"], [1, 0]]},
+        {"matrix": [[0, None], [1, 0]]},
     ],
 )
 def test_parse_topology_rejects_bad_documents(doc):
@@ -211,6 +216,18 @@ def test_topology_rejects_inconsistent_positions():
         Topology(table=table, positions=((0.0, 0.0), (30.0, 40.0)))
     with pytest.raises(UnknownNode):
         Topology(table=table, coordinator=3)
+
+
+def test_topology_table_must_be_exactly_the_positions_table():
+    positions = ((0.0, 0.0), (3.0, 4.0), (1.0, 1.0))
+    exact = table_from_positions(positions)
+    assert Topology(table=exact, positions=positions).table is exact
+    rows = exact.as_lists()
+    rows[0][2] = rows[2][0] = math.nextafter(rows[0][2], math.inf)  # one ulp off
+    with pytest.raises(InvalidInput):
+        Topology(table=validate_table(rows), positions=positions)
+    with pytest.raises(InvalidInput):
+        Topology(table=exact, positions=positions[:2])
 
 
 @pytest.mark.parametrize("coordinator", [1.5, True])

@@ -338,7 +338,7 @@ def test_discovery_matches_ground_truth_on_random_topologies():
             topo = Topology(table=random_symmetric_table(rng, n))
         root = rng.randint(1, n)
         table, messages = run_discovery(topo, root)
-        assert table.cost == topo.table.cost
+        assert table is topo.table
         assert messages == n
 
 
@@ -468,6 +468,15 @@ def test_coordinator_nacks_target_outside_the_mesh(table1, target):
     up, down = coordinator.step(datagrams=[command])
     assert down == []
     assert [(d.msg_type, d.seq, d.src_node) for d in up] == [(wire.MsgType.NACK, 9, target)]
+
+
+@pytest.mark.parametrize("payload", [bytes([10, 0x09]), b"\x0a", b"\x0a\x01\x00"],
+                         ids=["unknown-opcode", "short", "long"])
+def test_coordinator_nacks_a_malformed_command(table1, payload):
+    coordinator = Coordinator(table1, 5)
+    up, down = coordinator.step(datagrams=[wire.Datagram(wire.MsgType.COMMAND, 9, 10, payload)])
+    assert down == []
+    assert [(d.msg_type, d.seq, d.src_node) for d in up] == [(wire.MsgType.NACK, 9, 10)]
 
 
 def test_coordinator_correlates_switch_ack(table1):
@@ -601,6 +610,21 @@ def test_tick_timeline_of_a_command_and_an_alarm(table1_topology):
     assert trace[-1][4] == "type=ACK seq=7"
     assert picked("1234181131010158", "kind=alarm route=7-3-1", "kind=alarm") == [
         (1, "alarm", 7, 1), (1, "send", 7, 1), (2, "relay", 3, 1), (3, "deliver", 7, 1)]
+
+
+def test_network_nacks_a_malformed_command_and_keeps_the_frames_on_the_air(table1_topology):
+    net = SimNetwork(table1_topology, 5, sample_period=1)
+    net.run(1)
+    on_air = len(net._in_flight)
+    assert on_air > 0
+    start = len(net.trace)
+    net.inject_datagram(wire.Datagram(wire.MsgType.COMMAND, 7, 10, bytes([10, 0x09])))
+    net.step()
+    assert net.now == 2
+    nacks = [(d.seq, d.src_node) for d in net.uplink_out if d.msg_type is wire.MsgType.NACK]
+    assert nacks == [(7, 10)]
+    arrived = [event for event in net.trace[start:] if event[1] in ("deliver", "relay")]
+    assert len(arrived) == on_air
 
 
 def test_network_command_round_trip_switches_node(table1_topology):

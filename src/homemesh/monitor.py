@@ -1,19 +1,19 @@
 """Monitoring-center service: ingests framed datagrams over TCP, persists them
 in an append-only log, answers history/live queries, and dispatches commands.
 
-Every socket and timer runs on one asyncio event loop in one thread, the only
-thread that touches the store, the sessions and the tickets, so none needs a
-lock; public methods called from other threads hop onto the loop. Any number
-of coordinator sessions may be connected, and a malformed session is closed
+MonitorCore holds the protocol state and changes it only on explicit events,
+with time passed in: it owns no socket, timer or thread. MonitorService is its
+asyncio shell. Every socket and timer runs on one event loop in one thread,
+the only thread that touches the core, so nothing needs a lock; public methods
+called from other threads hop onto the loop. A malformed session is closed
 without touching the others. A second listener speaks a line-delimited JSON
-admin protocol for queries, snapshots, and command dispatch. Each connection
-on either port is one stream coroutine. A history page
-starts at its cursor, so it costs the records after the cursor, not the store.
+admin protocol for queries, snapshots, and command dispatch.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
 import json
 import logging
 import os
@@ -67,7 +67,7 @@ class SensorRecord:
     """One persisted uplink datagram; append-only, never mutated."""
 
     record_id: int
-    received_at: int  # ns, monotone per store
+    received_at: int  # ns; the store's own stamps increase, a caller's is kept as given
     coordinator_id: int
     src_node: int
     seq: int
@@ -86,6 +86,9 @@ class TicketState(Enum):
 
 
 TERMINAL_STATES = (TicketState.ACKED, TicketState.NACKED, TicketState.TIMED_OUT)
+
+# the ticket state a coordinator's answer to a COMMAND moves its ticket to
+_ANSWERS = {wire.MsgType.ACK: TicketState.ACKED, wire.MsgType.NACK: TicketState.NACKED}
 
 # the switch opcodes by the names the admin protocol and the CLI use
 OPCODE_NAMES = {
@@ -234,40 +237,131 @@ class RecordStore:
 
 
 class _Session:
-    """One connected coordinator; runs on the service's event loop."""
+    """One connected coordinator; its transport has write() and is_closing()."""
 
-    def __init__(self, session_id: int, transport: asyncio.Transport):
+    def __init__(self, session_id: int, transport):
         self.id = session_id
         self.transport = transport
         self.pending: dict[int, int] = {}  # command seq -> ticket id
-        self._command_seq = 0
+        self.command_seq = 0
 
-    def next_command_seq(self) -> int:
-        seq = self._command_seq
-        self._command_seq = (self._command_seq + 1) & 0xFFFF
-        return seq
+
+class MonitorCore:
+    """The service's protocol state, changed only by its event methods.
+
+    `dispatch` and `expire` take the time from the caller, in any unit that
+    matches command_timeout. A ticket times out only in `expire(now)` or when
+    `disconnect` ends its session. `close()` then `open()` reopen the store
+    and keep the tickets, as a service restart does.
+    """
+
+    def __init__(self, store_path, command_timeout: float):
+        self._store_path = store_path
+        self.command_timeout = command_timeout
+        self.store: RecordStore | None = None
+        self._sessions: dict[int, _Session] = {}
+        self._next_session_id = 1
+        self._tickets: dict[int, CommandTicket] = {}
+        self._finished: deque[int] = deque()  # terminal ticket ids, oldest first
+        self._next_ticket_id = 1
+        self._deadlines: list[tuple] = []  # heap of (deadline, ticket id, session id, seq)
+
+    def open(self) -> None:
+        self.store = RecordStore(self._store_path)
+        self._next_session_id = self.store.max_coordinator_id + 1  # ids go on past the log's
+
+    def close(self) -> None:
+        if self.store is not None:
+            self.store.close()
+
+    def connect(self, transport) -> _Session:
+        session = self._sessions[self._next_session_id] = _Session(self._next_session_id, transport)
+        self._next_session_id += 1
+        return session
+
+    def disconnect(self, session: _Session) -> None:
+        del self._sessions[session.id]
+        # no answer can reach these any more
+        for ticket_id in session.pending.values():
+            self._advance(ticket_id, TicketState.TIMED_OUT)
+
+    def handle_datagram(self, session: _Session, d: wire.Datagram) -> wire.Datagram | None:
+        """Ingest one decoded datagram; returns the reply to send, if any."""
+        if d.msg_type in _KIND_OF_TYPE:
+            record, created = self.store.append(session.id, d)
+            if not created:
+                log.info("session %d: duplicate seq=%d ignored", session.id, d.seq)
+            if record.cid_error is not None:
+                return wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)
+            return wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node)
+        if d.msg_type in _ANSWERS:
+            ticket_id = session.pending.pop(d.seq, None)
+            if ticket_id is None:
+                log.info("session %d: %s for unknown seq %d ignored",
+                         session.id, d.msg_type.name, d.seq)
+            self._advance(ticket_id, _ANSWERS[d.msg_type])
+            return None
+        if d.msg_type is wire.MsgType.DISCOVERY_REPORT:
+            log.info("session %d: discovery report, %d bytes", session.id, len(d.payload))
+            return wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node)
+        log.warning("session %d: unexpected %s", session.id, d.msg_type.name)
+        return wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)
+
+    def dispatch(self, target_node: int, opcode: wire.SwitchOpcode, now: float) -> CommandTicket:
+        """COMMAND the newest session not closing; time it out at now + command_timeout."""
+        live = [s for s in self._sessions.values() if not s.transport.is_closing()]
+        if not live:
+            raise NoCoordinator("no coordinator session connected")
+        payload = wire.encode_command_payload(target_node, opcode)
+        session = max(live, key=lambda s: s.id)
+        ticket = CommandTicket(self._next_ticket_id, target_node, wire.SwitchOpcode(opcode))
+        self._next_ticket_id += 1
+        self._tickets[ticket.ticket_id] = ticket
+        seq = session.command_seq
+        session.command_seq = (seq + 1) & 0xFFFF
+        session.pending[seq] = ticket.ticket_id
+        session.transport.write(wire.encode_datagram(
+            wire.Datagram(wire.MsgType.COMMAND, seq, target_node, payload)))
+        self._advance(ticket.ticket_id, TicketState.SENT)
+        heapq.heappush(self._deadlines,
+                       (now + self.command_timeout, ticket.ticket_id, session.id, seq))
+        return ticket
+
+    def expire(self, now: float) -> None:
+        """Time out every command whose deadline is at or before now."""
+        while self._deadlines and self._deadlines[0][0] <= now:
+            _, ticket_id, session_id, seq = heapq.heappop(self._deadlines)
+            session = self._sessions.get(session_id)
+            # the seq is forgotten, so a late answer to it is ignored
+            if session is not None and session.pending.get(seq) == ticket_id:
+                del session.pending[seq]
+            self._advance(ticket_id, TicketState.TIMED_OUT)
+
+    def _advance(self, ticket_id: int | None, state: TicketState) -> None:
+        ticket = self._tickets.get(ticket_id)
+        if ticket is None or ticket.state in TERMINAL_STATES:
+            return
+        ticket.state = state
+        if state in TERMINAL_STATES:
+            self._finished.append(ticket_id)
+            if len(self._finished) > TICKET_RETENTION:
+                del self._tickets[self._finished.popleft()]
 
 
 class MonitorService:
-    """The running service; use serve() or start()/stop() directly."""
+    """The running service, the I/O around one MonitorCore; use serve() or
+    start()/stop() directly. It calls the core's `expire` at each deadline."""
 
     def __init__(self, listen=DEFAULT_LISTEN, admin=DEFAULT_ADMIN,
                  store_path="monitor-store.log", command_timeout=DEFAULT_COMMAND_TIMEOUT):
         self._configured = (tuple(listen), tuple(admin))
         # the bound addresses once start() succeeds; they outlive stop()
         self.address, self.admin_address = self._configured
-        self._store_path = store_path
-        self.command_timeout = command_timeout
-        self.store: RecordStore | None = None
+        self._core = MonitorCore(store_path, command_timeout)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._servers: list[asyncio.AbstractServer] = []
-        self._sessions: dict[int, _Session] = {}
         self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
-        self._next_session_id = 1
-        self._tickets: dict[int, CommandTicket] = {}
-        self._finished: deque[int] = deque()  # terminal ticket ids, oldest first
-        self._next_ticket_id = 1
 
     # --- lifecycle ---------------------------------------------------------
 
@@ -275,8 +369,7 @@ class MonitorService:
         """Bind both ports and run the loop; on a running service, return it."""
         if self._thread is not None and self._thread.is_alive():
             return self
-        self.store = RecordStore(self._store_path)
-        self._next_session_id = self.store.max_coordinator_id + 1
+        self._core.open()
         listeners: list[socket.socket] = []
         try:
             for addr in self._configured:
@@ -284,7 +377,7 @@ class MonitorService:
         except OSError:
             for sock in listeners:
                 sock.close()
-            self.store.close()
+            self._core.close()
             raise
         self.address, self.admin_address = (sock.getsockname() for sock in listeners)
         loop = asyncio.new_event_loop()
@@ -306,8 +399,7 @@ class MonitorService:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=5)
             self._loop.close()
-        if self.store is not None:
-            self.store.close()
+        self._core.close()
 
     async def _shutdown(self) -> None:
         # before Python 3.12, Server.close() leaves accepted connections open
@@ -340,9 +432,7 @@ class MonitorService:
     async def _session(self, reader: asyncio.StreamReader,
                        writer: asyncio.StreamWriter) -> None:
         self._connections[writer] = asyncio.current_task()
-        session = _Session(self._next_session_id, writer.transport)
-        self._next_session_id += 1
-        self._sessions[session.id] = session
+        session = self._core.connect(writer.transport)
         # asyncio sets this only where sock.proto is IPPROTO_TCP; accepted sockets report 0
         writer.get_extra_info("socket").setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         log.info("coordinator session %d from %s", session.id, writer.get_extra_info("peername"))
@@ -362,58 +452,17 @@ class MonitorService:
         except ConnectionError:
             pass
         finally:
-            del self._sessions[session.id]
+            # stop() ends every session this way
+            self._core.disconnect(session)
             del self._connections[writer]
-            # no answer can reach these any more; stop() ends every session this way
-            for ticket_id in session.pending.values():
-                self._advance(ticket_id, TicketState.TIMED_OUT)
             writer.close()
             log.info("session %d closed", session.id)
 
     def handle_datagram(self, session: _Session, d: wire.Datagram) -> wire.Datagram | None:
         """Ingest one decoded datagram; returns the reply to send, if any."""
-        if d.msg_type in _KIND_OF_TYPE:
-            record, created = self.store.append(session.id, d)
-            if not created:
-                log.info("session %d: duplicate seq=%d ignored", session.id, d.seq)
-            if record.cid_error is not None:
-                return wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)
-            return wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node)
-        if d.msg_type is wire.MsgType.ACK:
-            self._resolve(session, d.seq, TicketState.ACKED)
-            return None
-        if d.msg_type is wire.MsgType.NACK:
-            self._resolve(session, d.seq, TicketState.NACKED)
-            return None
-        if d.msg_type is wire.MsgType.DISCOVERY_REPORT:
-            log.info("session %d: discovery report, %d bytes", session.id, len(d.payload))
-            return wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node)
-        log.warning("session %d: unexpected %s", session.id, d.msg_type.name)
-        return wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)
+        return self._core.handle_datagram(session, d)
 
     # --- command tickets -----------------------------------------------------
-
-    def _resolve(self, session: _Session, seq: int, state: TicketState) -> None:
-        ticket_id = session.pending.pop(seq, None)
-        if ticket_id is None:
-            log.info("session %d: %s for unknown seq %d ignored", session.id, state.value, seq)
-            return
-        self._advance(ticket_id, state)
-
-    def _advance(self, ticket_id: int, state: TicketState) -> None:
-        ticket = self._tickets.get(ticket_id)
-        if ticket is None or ticket.state in TERMINAL_STATES:
-            return
-        ticket.state = state
-        if state in TERMINAL_STATES:
-            self._finished.append(ticket_id)
-            if len(self._finished) > TICKET_RETENTION:
-                del self._tickets[self._finished.popleft()]
-
-    def _expire(self, session: _Session, seq: int, ticket_id: int) -> None:
-        if session.pending.get(seq) == ticket_id:
-            del session.pending[seq]
-        self._advance(ticket_id, TicketState.TIMED_OUT)
 
     def dispatch_command(self, target_node: int, opcode: wire.SwitchOpcode) -> CommandTicket:
         """Frame and send a COMMAND to the newest coordinator session.
@@ -426,24 +475,14 @@ class MonitorService:
         return self._on_loop(self._dispatch_command, target_node, opcode)
 
     def _dispatch_command(self, target_node: int, opcode: wire.SwitchOpcode) -> CommandTicket:
-        live = [s for s in self._sessions.values() if not s.transport.is_closing()]
-        if not live:
-            raise NoCoordinator("no coordinator session connected")
-        payload = wire.encode_command_payload(target_node, opcode)
-        session = max(live, key=lambda s: s.id)
-        ticket = CommandTicket(self._next_ticket_id, target_node, wire.SwitchOpcode(opcode))
-        self._next_ticket_id += 1
-        self._tickets[ticket.ticket_id] = ticket
-        seq = session.next_command_seq()
-        session.pending[seq] = ticket.ticket_id
-        session.transport.write(wire.encode_datagram(
-            wire.Datagram(wire.MsgType.COMMAND, seq, target_node, payload)))
-        self._advance(ticket.ticket_id, TicketState.SENT)
-        self._loop.call_later(self.command_timeout, self._expire, session, seq, ticket.ticket_id)
+        now = self._loop.time() if self._loop else 0.0  # no loop, no session: the core raises
+        ticket = self._core.dispatch(target_node, opcode, now)
+        deadline = now + self._core.command_timeout  # call_at may fire up to a clock tick early
+        self._loop.call_at(deadline, self._core.expire, deadline)
         return ticket
 
     def ticket(self, ticket_id: int) -> CommandTicket:
-        ticket = self._on_loop(self._tickets.get, ticket_id)
+        ticket = self._on_loop(self._core._tickets.get, ticket_id)
         if ticket is None:
             raise InvalidInput(f"unknown ticket id {ticket_id}")
         return ticket
@@ -451,10 +490,10 @@ class MonitorService:
     # --- queries -------------------------------------------------------------
 
     def query_history(self, **kwargs):
-        return self._on_loop(lambda: self.store.query(**kwargs))
+        return self._on_loop(lambda: self._core.store.query(**kwargs))
 
     def live_snapshot(self):
-        return self._on_loop(lambda: self.store.snapshot())
+        return self._on_loop(lambda: self._core.store.snapshot())
 
     # --- admin protocol --------------------------------------------------------
 

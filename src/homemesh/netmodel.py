@@ -86,9 +86,12 @@ def table_from_positions(positions) -> DistanceTable:
     pts = _points(positions)
     n = len(pts)
     cost = [[0.0] * n for _ in range(n)]
+    inf = math.inf  # a local: the overflow test runs once per pair
     for i in range(n):
         for j in range(i + 1, n):
             d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            if d == inf:
+                raise InvalidInput(f"distance between nodes {i + 1} and {j + 1} overflows")
             cost[i][j] = d
             cost[j][i] = d
     return DistanceTable(tuple(tuple(row) for row in cost))

@@ -191,7 +191,11 @@ class StreamDecoder:
 def encode_command_payload(target_node: int, opcode: SwitchOpcode) -> bytes:
     if not 0 <= target_node <= 0xFF:
         raise InvalidInput(f"target node {target_node} does not fit the one-byte field")
-    return bytes([target_node, SwitchOpcode(opcode)])
+    try:
+        opcode = SwitchOpcode(opcode)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from exc
+    return bytes([target_node, opcode])
 
 
 def decode_command_payload(payload: bytes) -> tuple[int, SwitchOpcode]:

@@ -382,7 +382,7 @@ def test_timed_out_command_clears_pending(tmp_path):
         client = Client(handle)
         client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
         client.recv()
-        (session,) = handle._sessions.values()
+        (session,) = handle._core._sessions.values()
         ticket = handle.dispatch_command(10, wire.SwitchOpcode.SWITCH_ON)
         (command,) = client.recv()
         assert wait_for(lambda: ticket.state is TicketState.TIMED_OUT, timeout=3)
@@ -441,7 +441,7 @@ def test_finished_tickets_are_bounded(service, monkeypatch):
         (command,) = client.recv()
         client.send(wire.Datagram(wire.MsgType.ACK, command.seq, 10))
     assert wait_for(lambda: all(t.state is TicketState.ACKED for t in tickets))
-    assert len(service._tickets) == 3
+    assert len(service._core._tickets) == 3
     assert service.ticket(tickets[-1].ticket_id) is tickets[-1]
     with pytest.raises(InvalidInput):
         service.ticket(tickets[0].ticket_id)
@@ -454,9 +454,44 @@ def test_unencodable_command_leaves_no_ticket(service):
     client.recv()
     with pytest.raises(InvalidInput):
         service.dispatch_command(300, wire.SwitchOpcode.SWITCH_ON)
-    assert service._tickets == {}
-    (session,) = service._sessions.values()
+    assert service._core._tickets == {}
+    (session,) = service._core._sessions.values()
     assert session.pending == {}
+    client.close()
+
+
+def test_unknown_opcode_is_invalid_input_and_leaves_no_ticket(service):
+    client = Client(service)
+    client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    client.recv()
+    with pytest.raises(InvalidInput):
+        service.dispatch_command(10, 9)
+    assert service._core._tickets == {}
+    (session,) = service._core._sessions.values()
+    assert session.pending == {}
+    client.close()
+
+
+def test_frames_and_admin_commands_go_through_the_service_methods(service, monkeypatch):
+    # bench/spans.py times these two class attributes; a path around them reads 0
+    calls = {"handle_datagram": 0, "dispatch_command": 0}
+
+    def counting(name):
+        method = MonitorService.__dict__[name]
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(MonitorService, name, counting(name))
+    client = Client(service)
+    client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    client.recv()
+    reply = admin(service, {"op": "send-command", "target": 10, "opcode": "on"})
+    assert reply["ok"] is True
+    assert calls == {"handle_datagram": 1, "dispatch_command": 1}
     client.close()
 
 
@@ -713,7 +748,7 @@ def test_stop_twice(tmp_path):
         client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
         client.recv()
         handle.stop()
-        assert handle._sessions == {}
+        assert handle._core._sessions == {}
     handle.stop()
     client.close()
 
@@ -760,10 +795,10 @@ def test_peer_that_never_reads_stops_being_read(service):
     stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     stalled.settimeout(0.1)
     stalled.connect(service.address)
-    assert wait_for(lambda: service._on_loop(lambda: len(service._sessions) == 1))
+    assert wait_for(lambda: service._on_loop(lambda: len(service._core._sessions) == 1))
 
     def shrink_send_buffer():
-        (session,) = service._sessions.values()
+        (session,) = service._core._sessions.values()
         session.transport.get_extra_info("socket").setsockopt(
             socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
         return session.transport
@@ -855,8 +890,8 @@ def test_store_runs_on_the_loop_thread(service, monkeypatch):
             return method(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(service.store, "query", recording(service.store.query))
-    monkeypatch.setattr(service.store, "snapshot", recording(service.store.snapshot))
+    monkeypatch.setattr(service._core.store, "query", recording(service._core.store.query))
+    monkeypatch.setattr(service._core.store, "snapshot", recording(service._core.store.snapshot))
     service.query_history(limit=5)
     service.live_snapshot()
     assert ran_on == [service._thread, service._thread]
@@ -886,7 +921,7 @@ def test_sessions_set_tcp_nodelay(service):
     client = Client(service)
     client.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
     client.recv()
-    (session,) = service._on_loop(lambda: list(service._sessions.values()))
+    (session,) = service._on_loop(lambda: list(service._core._sessions.values()))
     sock = session.transport.get_extra_info("socket")
     assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     client.close()

@@ -1,0 +1,216 @@
+"""MonitorCore under a hypothesis state machine.
+
+The machine drives the core alone, as the service's shell would, through a
+fake transport and a virtual clock: no socket, thread or sleep is involved,
+and only the store's record stamps read the wall clock, which no invariant
+looks at. The store writes its log to a temporary directory, so a restart
+replays it. DEDUP_WINDOW and TICKET_RETENTION are made small, so that dedup
+windows and finished tickets are evicted within a run.
+"""
+
+import shutil
+import tempfile
+from collections import OrderedDict
+from dataclasses import dataclass
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, \
+    run_state_machine_as_test
+
+from homemesh import monitor, wire
+from homemesh.errors import InvalidInput, NoCoordinator
+from homemesh.monitor import TERMINAL_STATES, MonitorCore, TicketState
+
+TIMEOUT = 5.0
+PICK = st.integers(min_value=0, max_value=7)  # an index, taken modulo the choices
+
+
+class FakeTransport:
+    """Collects the COMMAND frames the core writes to one session."""
+
+    def __init__(self):
+        self.decoder = wire.StreamDecoder()
+        self.commands: list[wire.Datagram] = []
+        self.closing = False
+
+    def write(self, data):
+        self.commands.extend(self.decoder.feed(data))
+
+    def is_closing(self):
+        return self.closing
+
+
+@dataclass
+class Sent:
+    """One dispatched command and the state the model expects of it."""
+
+    ticket: monitor.CommandTicket
+    session: object
+    seq: int
+    deadline: float
+    expected: TicketState = TicketState.SENT
+    last_seen: TicketState = TicketState.SENT
+
+
+def _rank(state):
+    return 2 if state in TERMINAL_STATES else (0 if state is TicketState.QUEUED else 1)
+
+
+class CoreMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp(prefix="homemesh-core-")
+        self.path = f"{self.dir}/store.log"
+        self.core = MonitorCore(self.path, command_timeout=TIMEOUT)
+        self.core.open()
+        self.now = 0.0
+        self.live: dict[int, object] = {}  # session id -> session, as the shell holds them
+        self.transports: list[FakeTransport] = []
+        # the dedup rule: per coordinator, its last DEDUP_WINDOW stored (seq, payload) keys
+        self.windows: dict[int, OrderedDict] = {}
+        self.stored: list[tuple[int, int, bytes]] = []  # (coordinator, seq, payload)
+        self.sent: list[Sent] = []
+        self.connect()
+
+    def teardown(self):
+        self.core.close()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+    def _is_live(self, session):
+        return self.live.get(session.id) is session
+
+    def _end(self, session):
+        self.core.disconnect(session)
+        del self.live[session.id]
+        for sent in self.sent:
+            if sent.session is session and sent.expected is TicketState.SENT:
+                sent.expected = TicketState.TIMED_OUT
+
+    # --- rules ------------------------------------------------------------
+
+    @precondition(lambda self: len(self.live) < 4)
+    @rule()
+    def connect(self):
+        transport = FakeTransport()
+        session = self.core.connect(transport)
+        # a new session never shares an id, and so a dedup window, with a stored one
+        assert session.id not in self.live
+        assert session.id > max((c for c, _, _ in self.stored), default=0)
+        self.live[session.id] = session
+        self.transports.append(transport)
+
+    @precondition(lambda self: self.live)
+    @rule(pick=PICK, kind=st.sampled_from([wire.MsgType.SENSOR_DATA, wire.MsgType.HEARTBEAT]),
+          seq=st.sampled_from([0, 1, 2, 0xFFFF]), payload=st.sampled_from([b"", b"a", b"b"]))
+    def send_frame(self, pick, kind, seq, payload):
+        session = list(self.live.values())[pick % len(self.live)]
+        reply = self.core.handle_datagram(session, wire.Datagram(kind, seq, 7, payload))
+        assert reply == wire.Datagram(wire.MsgType.ACK, seq, 7)
+        window = self.windows.setdefault(session.id, OrderedDict())
+        if (seq, payload) not in window:
+            self.stored.append((session.id, seq, payload))
+            window[(seq, payload)] = None
+            if len(window) > monitor.DEDUP_WINDOW:
+                window.popitem(last=False)
+
+    @precondition(lambda self: self.live)
+    @rule(pick=PICK, linger=st.booleans())
+    def drop(self, pick, linger):
+        # the transport reports closing before the shell's session ends, or lingers so
+        session = list(self.live.values())[pick % len(self.live)]
+        session.transport.closing = True
+        if not linger:
+            self._end(session)
+
+    @rule(node=st.sampled_from([1, 10, 10, 300]), opcode=st.sampled_from([1, 2, 3, 9]))
+    def dispatch(self, node, opcode):
+        writes_before = [len(t.commands) for t in self.transports]
+        open_sessions = [s for s in self.live.values() if not s.transport.closing]
+        try:
+            ticket = self.core.dispatch(node, opcode, self.now)
+        except NoCoordinator:
+            assert not open_sessions
+            return
+        except InvalidInput:
+            assert node > 0xFF or opcode not in (1, 2, 3)
+            assert [len(t.commands) for t in self.transports] == writes_before
+            return
+        newest = max(open_sessions, key=lambda s: s.id)
+        assert [len(t.commands) for t in self.transports] == \
+            [n + (t is newest.transport) for n, t in zip(writes_before, self.transports)]
+        command = newest.transport.commands[-1]
+        assert command.msg_type is wire.MsgType.COMMAND
+        assert wire.decode_command_payload(command.payload) == (node, opcode)
+        assert ticket.state is TicketState.SENT
+        self.sent.append(Sent(ticket, newest, command.seq, self.now + TIMEOUT))
+
+    @precondition(lambda self: any(self._is_live(s.session) for s in self.sent))
+    @rule(pick=PICK, answer=st.sampled_from([wire.MsgType.ACK, wire.MsgType.NACK]))
+    def answer(self, pick, answer):
+        answerable = [s for s in self.sent if self._is_live(s.session)]
+        sent = answerable[pick % len(answerable)]
+        reply = self.core.handle_datagram(
+            sent.session, wire.Datagram(answer, sent.seq, sent.ticket.target_node))
+        assert reply is None
+        if sent.expected is TicketState.SENT:
+            sent.expected = TicketState.ACKED if answer is wire.MsgType.ACK else TicketState.NACKED
+
+    @rule(dt=st.sampled_from([0.0, 0.5, 2.5, TIMEOUT]))
+    def advance_clock(self, dt):
+        self.now += dt
+        self.core.expire(self.now)
+        for sent in self.sent:
+            if sent.deadline <= self.now and sent.expected is TicketState.SENT:
+                sent.expected = TicketState.TIMED_OUT
+
+    @rule(new_process=st.booleans())
+    def restart(self, new_process):
+        # what MonitorService.stop() then start() do; a new process starts a new core
+        for session in list(self.live.values()):
+            self._end(session)
+        self.core.close()
+        if new_process:
+            self.core = MonitorCore(self.path, command_timeout=TIMEOUT)
+        self.core.open()
+
+    # --- invariants ---------------------------------------------------------
+
+    @invariant()
+    def each_frame_is_stored_once_under_the_dedup_rule(self):
+        records, _ = self.core.store.query()
+        assert [(r.coordinator_id, r.seq, r.payload) for r in records] == self.stored
+
+    @invariant()
+    def no_ticket_moves_backward(self):
+        for sent in self.sent:
+            state = sent.ticket.state
+            assert _rank(state) >= _rank(sent.last_seen)
+            assert sent.last_seen not in TERMINAL_STATES or state is sent.last_seen
+            sent.last_seen = state
+
+    @invariant()
+    def every_ticket_is_terminal_by_its_deadline_or_its_session_end(self):
+        for sent in self.sent:
+            if sent.deadline <= self.now or not self._is_live(sent.session):
+                assert sent.ticket.state in TERMINAL_STATES
+            assert sent.ticket.state is sent.expected
+
+    @invariant()
+    def the_core_holds_nothing_beyond_the_live_sessions(self):
+        core = self.core
+        assert core._sessions.keys() == self.live.keys()
+        assert all(core._sessions[i] is s for i, s in self.live.items())
+        pending = [t for s in self.live.values() for t in s.pending.values()]
+        open_tickets = [i for i, t in core._tickets.items() if t.state not in TERMINAL_STATES]
+        assert sorted(pending) == sorted(open_tickets)
+        assert len(core._finished) <= monitor.TICKET_RETENTION
+        assert len(core._tickets) <= monitor.TICKET_RETENTION + len(pending)
+        assert all(deadline > self.now for deadline, *_ in core._deadlines)
+
+
+def test_core_state_machine(monkeypatch):
+    monkeypatch.setattr(monitor, "DEDUP_WINDOW", 3)
+    monkeypatch.setattr(monitor, "TICKET_RETENTION", 1)
+    run_state_machine_as_test(
+        CoreMachine, settings=settings(max_examples=100, stateful_step_count=30, deadline=None))

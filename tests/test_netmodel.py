@@ -198,6 +198,7 @@ def test_topology_file_parse_error_has_line(tmp_path):
         {"positions": 5},
         {"matrix": [[0, "x"], [1, 0]]},
         {"matrix": [[0, None], [1, 0]]},
+        {"positions": [[1e308, 0], [-1e308, 0]]},
     ],
 )
 def test_parse_topology_rejects_bad_documents(doc):

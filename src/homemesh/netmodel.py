@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 from .errors import AsymmetricTable, InvalidInput, UnknownNode
@@ -42,6 +43,11 @@ class DistanceTable:
     @property
     def nodes(self) -> range:
         return range(1, len(self.cost) + 1)
+
+    @cached_property
+    def max_cost(self) -> float:
+        """The largest entry, computed once per table."""
+        return max(map(max, self.cost))
 
     def check_node(self, node: int) -> None:
         if not isinstance(node, int) or isinstance(node, bool) or not 1 <= node <= self.n:

@@ -10,14 +10,16 @@ the destination is settled; shortest_path_tree runs it until the heap is
 empty and returns every node's route from the source. The two agree exactly,
 float ties included: a label, once settled, is never changed by the rest of
 the search, so stopping early only leaves later nodes unsettled. A candidate
-label is compared with the one queued for its node on (dist, hops) first; its
-path tuple is copied only when it wins there or ties on both. Routes is the
+label is compared with the one queued for its node on distance first; its
+path tuple is copied only when it wins there or comes within rounding of it
+and wins on hops or ties them. Routes is the
 one owner of trees: callers that route many pairs on a table at a radius ask
 one Routes object, which builds each source's tree on first use.
 
-The all-pairs profile never walks the n(n-1) paths. A tree is prefix-closed,
-so a node's visits over every route from the source follow from its subtree
-size (Brandes' dependency accumulation, one tree per source). The profile
+The all-pairs profile never walks the n(n-1) paths. A tree is prefix-closed
+but where float rounding makes a route leave its parent's route, so a node's
+visits over every route from the source follow from its subtree size
+(Brandes' dependency accumulation, one tree per source). The profile
 folds over the sources, tallying each tree and dropping it before building
 the next, so it holds one tree at a time; tally_pairs, which keeps every
 tree, serves drawn traffic, where pairs repeat.
@@ -32,6 +34,7 @@ and building the adjacency for it costs more than the scan it saves.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,11 +102,24 @@ def _label_search(table: DistanceTable, src: int, radius: float, stop: int | Non
     """The (dist, hops, path) label settled for each node id, None if unreached.
 
     Dijkstra over the radius-pruned edge set with composite labels: heap
-    entries compare as (distance so far, hops so far, node sequence), so the
-    first label popped for a node is its global optimum. The search returns
-    as soon as `stop` is settled; without a stop it settles every reachable
-    node. A push is skipped unless its label is strictly below the best one
-    already queued for that node, which never removes a node's minimum.
+    entries compare as (distance so far, hops so far, node sequence), and
+    the first label popped for a node is its global optimum. The search
+    returns as soon as `stop` is settled; without a stop it settles every
+    reachable node.
+
+    A route's distance is its hop costs added in path order, and float
+    addition rounds, so a prefix that loses on distance can tie once a hop
+    is added and then win on hops or node sequence: 0.1 + 0.2 + 0.3 rounds
+    above 0.1 + 0.2 + 0.2 + 0.1, yet adding 0.2 to the first and 0.3 to
+    0.1 + 0.2 + 0.2 gives 0.8 for both. So a node may expand later labels
+    too. A label is dropped only when a label of its node that is no longer
+    beats it on (hops, path), or is shorter by more than `tol`: n + 1 ulps of
+    2n times the longest usable hop, more than rounding can close over the
+    fewer than n hops still to come. `queued[v]` is the least label pushed
+    for v, popped first; `limit[v]` is its distance plus `tol`; `front[v]`
+    is v's least label on (hops, path) among its first and its expanded
+    ones. Sums without rounding, as on integer costs, never tie that way,
+    so there each node expands its first label only.
 
     A settled node's out-edges come from `edges[node]`, a list of (next node,
     cost) pairs in id order, when an adjacency is given, and from a scan of
@@ -112,31 +128,45 @@ def _label_search(table: DistanceTable, src: int, radius: float, stop: int | Non
     """
     cost = table.cost
     n = table.n
+    tol = (n + 1) * math.ulp(2 * n * min(radius, table.max_cost))
     settled: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (n + 1)
     queued: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (n + 1)
+    front: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (n + 1)
+    limit = [math.inf] * (n + 1)
     heap = [(0.0, 0, (src,))]
     while heap:
         label = heapq.heappop(heap)
         dist, hops, path = label
         node = path[-1]
-        if settled[node] is not None:
-            continue
-        settled[node] = label
-        if node == stop:
-            break
+        if settled[node] is None:
+            settled[node] = label
+            if node == stop:
+                break
+        else:
+            least = front[node]
+            if dist > limit[node] or not (hops < least[1] or hops == least[1]
+                                          and path < least[2]):
+                continue
+            front[node] = label
         next_hops = hops + 1
         for nxt, edge in (enumerate(cost[node - 1], 1) if edges is None else edges[node]):
-            if edge <= radius and settled[nxt] is None:
+            if edge <= radius:
                 next_dist = dist + edge
-                best = queued[nxt]
-                # the tuple order spelled out, so that the path is copied
-                # only for a label that wins or ties on (dist, hops)
-                if (best is None or next_dist < best[0] or next_dist == best[0] and (
-                        next_hops < best[1]
-                        or next_hops == best[1] and path + (nxt,) < best[2])):
-                    candidate = (next_dist, next_hops, path + (nxt,))
-                    queued[nxt] = candidate
-                    heapq.heappush(heap, candidate)
+                if next_dist <= limit[nxt]:
+                    best = queued[nxt]
+                    if best is None or next_dist < best[0]:
+                        queued[nxt] = front[nxt] = candidate = (next_dist, next_hops, path + (nxt,))
+                        limit[nxt] = next_dist + tol
+                        heapq.heappush(heap, candidate)
+                        continue
+                    # the tuple order spelled out, so that the path is copied
+                    # only for a label that wins or ties on hops
+                    least = front[nxt]
+                    if next_hops < least[1] or next_hops == least[1] and path + (nxt,) < least[2]:
+                        candidate = (next_dist, next_hops, path + (nxt,))
+                        if next_dist == best[0]:
+                            queued[nxt] = front[nxt] = candidate
+                        heapq.heappush(heap, candidate)
     return settled
 
 
@@ -298,8 +328,10 @@ def tally_pairs(routes: Routes, pairs, mode: CountingMode) -> VisitStats:
 def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
     """What tally_pairs reports for every ordered pair, folded over one tree per source.
 
-    Each settled path extends its parent's settled path by one node, so
-    path[-2] is v's parent and each tree is prefix-closed. Below v hang
+    A route extends the route of its node before last, path[-2], by one
+    node, except where float rounding made it leave that route (see
+    _label_search); then its nodes back to the last one whose route it
+    does follow relay it without a route of their own there. Below v hang
     size[v] reached nodes, v included, and v lies on the route to each of
     them. So v transmits on size[v] - 1 routes; a v other than the source
     also relays on size[v] - 1 and is the receiver of one more, which only
@@ -313,15 +345,21 @@ def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
     receiver = 1 if mode is CountingMode.ALL_PATH_NODES else 0
     delivered = 0
     for src in nodes:
-        reached = [path for path in routes.tree(src) if path is not None]
+        tree = routes.tree(src)
+        reached = [path for path in tree if path is not None]
         reached.sort(key=len, reverse=True)
         size = [1] * (n + 1)
         for path in reached[:-1]:  # every reached node but the source, children first
             node = path[-1]
             below = size[node]
-            size[path[-2]] += below
             counts[node] += below - 1 + receiver
             relay_counts[node] += below - 1
+            up = len(path) - 2
+            while tree[path[up]] != path[:up + 1]:  # a detour: relays with no route here
+                counts[path[up]] += below
+                relay_counts[path[up]] += below
+                up -= 1
+            size[path[up]] += below
         counts[src] += len(reached) - 1
         delivered += len(reached) - 1
     return VisitStats({node: counts[node] for node in nodes},

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homemesh import routing
@@ -321,6 +321,19 @@ def test_profile_conservation(table1):
 # --- shortest-path trees ----------------------------------------------------------
 
 
+# From 3, (3, 5, 4) costs 0.1 + 0.2. On to 2, 0.3 direct rounds above 0.2 + 0.1
+# through 6; on to 1, (3, 5, 4, 2, 1) and (3, 5, 4, 6, 1) both round to 0.8,
+# and the first wins on node sequence though it leaves 2's route
+ROUNDING_ROWS = [
+    [0.0, 0.2, 1.0, 1.0, 1.0, 0.3],
+    [0.2, 0.0, 1.0, 0.3, 1.0, 0.1],
+    [1.0, 1.0, 0.0, 1.0, 0.1, 1.0],
+    [1.0, 0.3, 1.0, 0.0, 0.2, 0.2],
+    [1.0, 1.0, 0.1, 0.2, 0.0, 1.0],
+    [0.3, 0.1, 1.0, 0.2, 1.0, 0.0],
+]
+
+
 tied_costs = st.sampled_from([0.1, 0.2, 0.3, 1.0, 1.0, 2.0, 3.0])
 
 
@@ -341,6 +354,7 @@ def cost_rows(draw):
 
 @given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]))
 @settings(max_examples=60, deadline=None)
+@example(ROUNDING_ROWS, 0.3)
 def test_tree_paths_match_enumeration(rows, radius):
     table = DistanceTable.from_rows(rows)
     for src in table.nodes:
@@ -353,6 +367,7 @@ def test_tree_paths_match_enumeration(rows, radius):
 
 @given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]))
 @settings(max_examples=60, deadline=None)
+@example(ROUNDING_ROWS, 0.3)
 def test_routes_match_enumeration(rows, radius):
     # Routes searches its radius-pruned adjacency, not the cost rows; directed
     # tables check it reads costs from the sender's row, tied costs that ties
@@ -367,6 +382,7 @@ def test_routes_match_enumeration(rows, radius):
 
 @given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0]))
 @settings(max_examples=60, deadline=None)
+@example(ROUNDING_ROWS, 0.3)
 def test_profile_fold_matches_tally_over_every_pair(rows, radius):
     # the fold sums subtree sizes; tally_pairs walks each of the n(n-1) paths
     table = DistanceTable.from_rows(rows)

@@ -21,7 +21,8 @@ import socket
 import struct
 import threading
 import time
-from collections import OrderedDict, defaultdict, deque
+from array import array
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,8 @@ log = logging.getLogger(__name__)
 
 # on-disk record: receive timestamp (ns), coordinator id, frame length
 RECORD_HEADER = struct.Struct(">QHI")
+# a stored record's header and its frame's header, read with one unpack
+_HEADERS = struct.Struct(RECORD_HEADER.format + wire.HEADER.format.lstrip(">"))
 
 DEFAULT_LISTEN = ("127.0.0.1", 7007)
 DEFAULT_ADMIN = ("127.0.0.1", 7008)
@@ -60,6 +63,7 @@ _KIND_OF_TYPE = {
     wire.MsgType.ALARM_CID: RecordKind.ALARM,
     wire.MsgType.HEARTBEAT: RecordKind.HEARTBEAT,
 }
+_TYPE_OF_KIND = {kind: msg_type for msg_type, kind in _KIND_OF_TYPE.items()}
 
 
 @dataclass(frozen=True)
@@ -108,89 +112,164 @@ class CommandTicket:
     state: TicketState = TicketState.QUEUED
 
 
-def _build_record(record_id, received_at, coordinator_id, d: wire.Datagram) -> SensorRecord:
-    kind = _KIND_OF_TYPE[d.msg_type]
-    cid = None
-    cid_error = None
-    if kind is RecordKind.ALARM:
+def _positions(column: array, value, start: int = 0):
+    """The indices from start on where column holds value, each found by one
+    `array.index` call: the scan between matches runs in C."""
+    while True:
         try:
-            cid = wire.decode_cid(d.payload.decode("ascii"))
-        except (wire.CidError, UnicodeDecodeError) as exc:
-            cid_error = str(exc)
-    return SensorRecord(record_id, received_at, coordinator_id, d.src_node,
-                        d.seq, kind, d.payload, cid, cid_error)
+            start = column.index(value, start)
+        except ValueError:
+            return
+        yield start
+        start += 1
 
 
 class RecordStore:
-    """Append-only datagram log with in-memory indexes rebuilt on open.
+    """Append-only datagram log, held as its bytes plus one array per column.
 
     One record on disk is RECORD_HEADER followed by the encoded datagram.
-    A torn tail from a crashed writer is truncated away on open. A frame is a
-    duplicate, and is not stored again, when its coordinator stored the same
-    (seq, payload) among its last DEDUP_WINDOW stored frames. A store holds
-    no lock: use it from one thread (MonitorService uses its loop thread).
+    Opening the store reads the log once and checks every record where it lies,
+    as `wire.decode_datagram` would; each column (record offset, received_at,
+    coordinator, node, message type) gets one entry per record, an index of
+    offsets into the log like Bitcask's keydir. A torn tail from a crashed
+    writer, or a damaged record (or a frame type the store never writes) and
+    everything after it, is truncated away. A SensorRecord is built only when
+    a method returns one. A frame is a duplicate, and is not stored again, when
+    its coordinator stored the same (seq, payload) among its last DEDUP_WINDOW
+    stored frames; a coordinator's window is built on the first append under
+    its id. A store holds no lock: use it from one thread (MonitorService uses
+    its loop thread).
     """
 
     def __init__(self, path):
         self._path = str(path)
-        self._records: list[SensorRecord] = []
-        # per coordinator: (seq, payload) -> record, oldest first
-        self._recent: defaultdict[int, OrderedDict[tuple[int, bytes], SensorRecord]] = \
-            defaultdict(OrderedDict)
-        self._latest: dict[tuple[int, int], SensorRecord] = {}
-        valid = self._replay()
+        self._log = bytearray()  # the log file's bytes
+        # one entry per record, at index record_id - 1
+        self._offset = array("Q")
+        self._received_at = array("Q")
+        self._coordinator = array("H")
+        self._node = array("H")
+        self._type = array("B")
+        self._latest: dict[tuple[int, int], int] = {}  # (coordinator, node) -> record index
+        # per coordinator: (seq, payload) -> the record append returned, or the
+        # index of a record from the log; oldest first
+        self._windows: dict[int, OrderedDict[tuple[int, bytes], SensorRecord | int]] = {}
+        if os.path.exists(self._path):
+            with open(self._path, "rb") as fh:
+                self._log = bytearray(fh.read())
+            self._replay()
         self._file = open(self._path, "ab")
-        if self._file.tell() > valid:
-            self._file.truncate(valid)
+        if self._file.tell() > len(self._log):
+            self._file.truncate(len(self._log))
 
-    def _replay(self) -> int:
-        if not os.path.exists(self._path):
-            return 0
-        valid = 0
-        with open(self._path, "rb") as fh:
-            blob = fh.read()
-        offset = 0
-        while offset + RECORD_HEADER.size <= len(blob):
+    def _replay(self) -> None:
+        blob = self._log
+        add_offset, add_received_at = self._offset.append, self._received_at.append
+        add_coordinator, add_node, add_type = \
+            self._coordinator.append, self._node.append, self._type.append
+        latest = self._latest
+        size = len(blob)
+        offset = index = 0
+        while offset + RECORD_HEADER.size <= size:
             received_at, coordinator_id, length = RECORD_HEADER.unpack_from(blob, offset)
-            end = offset + RECORD_HEADER.size + length
-            if end > len(blob):
+            frame = offset + RECORD_HEADER.size
+            end = frame + length
+            if end > size:
                 break
             try:
-                datagram = wire.decode_datagram(blob[offset + RECORD_HEADER.size:end])
+                msg_type, _, src_node, _ = wire.check_frame(blob, frame, end)
             except wire.ProtocolError:
+                msg_type = None
+            if msg_type not in _KIND_OF_TYPE:  # damaged, or a frame the store never writes
                 log.warning("%s: corrupt record at byte %d, truncating", self._path, offset)
                 break
-            self._index(received_at, coordinator_id, datagram, (datagram.seq, datagram.payload))
+            add_offset(offset)
+            add_received_at(received_at)
+            add_coordinator(coordinator_id)
+            add_node(src_node)
+            add_type(msg_type)
+            latest[(coordinator_id, src_node)] = index
+            index += 1
             offset = end
-            valid = end
-        return valid
+        del blob[offset:]
 
-    def _index(self, received_at, coordinator_id, datagram, key) -> SensorRecord:
-        record = _build_record(len(self._records) + 1, received_at, coordinator_id, datagram)
-        self._records.append(record)
-        recent = self._recent[coordinator_id]
-        recent[key] = record
-        if len(recent) > DEDUP_WINDOW:
-            recent.popitem(last=False)
-        self._latest[(coordinator_id, datagram.src_node)] = record
-        return record
+    def _records(self, indices) -> list[SensorRecord]:
+        """The records at these indices, read from the log at their offsets."""
+        log, offsets = self._log, self._offset
+        unpack_headers, headers_size = _HEADERS.unpack_from, _HEADERS.size
+        alarm = RecordKind.ALARM
+        # a frozen dataclass's __init__ sets its nine fields one call at a time,
+        # about half the cost of a record here; each record gets them at once
+        new_record, set_fields = object.__new__, object.__setattr__
+        records = []
+        for index in indices:
+            offset = offsets[index]
+            received_at, coordinator_id, _, _, _, msg_type, seq, src_node, payload_len = \
+                unpack_headers(log, offset)
+            payload = bytes(log[offset + headers_size:offset + headers_size + payload_len])
+            kind = _KIND_OF_TYPE[msg_type]
+            cid = None
+            cid_error = None
+            if kind is alarm:
+                try:
+                    cid = wire.decode_cid(payload.decode("ascii"))
+                except (wire.CidError, UnicodeDecodeError) as exc:
+                    cid_error = str(exc)
+            record = new_record(SensorRecord)
+            set_fields(record, "__dict__", {
+                "record_id": index + 1, "received_at": received_at,
+                "coordinator_id": coordinator_id, "src_node": src_node, "seq": seq,
+                "kind": kind, "payload": payload, "cid": cid, "cid_error": cid_error})
+            records.append(record)
+        return records
+
+    def _window(self, coordinator_id: int) -> OrderedDict:
+        """The coordinator's dedup window; the first call folds its logged records."""
+        window = self._windows.get(coordinator_id)
+        if window is None:
+            window = self._windows[coordinator_id] = OrderedDict()
+            for index in _positions(self._coordinator, coordinator_id):
+                [record] = self._records([index])
+                window[(record.seq, record.payload)] = index
+                if len(window) > DEDUP_WINDOW:
+                    window.popitem(last=False)
+        return window
 
     def append(self, coordinator_id: int, d: wire.Datagram,
                received_at: int | None = None) -> tuple[SensorRecord, bool]:
         """Persist one datagram; returns (record, created). A duplicate returns
         the existing record with created=False and writes nothing."""
         raw = wire.encode_datagram(d)
+        if d.msg_type not in _KIND_OF_TYPE:
+            raise InvalidInput(f"a {wire.MsgType(d.msg_type).name} frame is not a record")
         key = (d.seq, d.payload)
-        existing = self._recent.get(coordinator_id, {}).get(key)
+        window = self._window(coordinator_id)
+        existing = window.get(key)
         if existing is not None:
+            if not isinstance(existing, SensorRecord):
+                [existing] = self._records([existing])
             return existing, False
+        stamps = self._received_at
         if received_at is None:
             received_at = time.time_ns()
-            if self._records and received_at <= self._records[-1].received_at:
-                received_at = self._records[-1].received_at + 1
-        self._file.write(RECORD_HEADER.pack(received_at, coordinator_id, len(raw)) + raw)
+            if stamps and received_at <= stamps[-1]:
+                received_at = stamps[-1] + 1
+        entry = RECORD_HEADER.pack(received_at, coordinator_id, len(raw)) + raw
+        self._file.write(entry)
         self._file.flush()
-        return self._index(received_at, coordinator_id, d, key), True
+        index = len(stamps)
+        self._offset.append(len(self._log))
+        self._log += entry
+        stamps.append(received_at)
+        self._coordinator.append(coordinator_id)
+        self._node.append(d.src_node)
+        self._type.append(d.msg_type)
+        self._latest[(coordinator_id, d.src_node)] = index
+        [record] = self._records([index])
+        window[key] = record
+        if len(window) > DEDUP_WINDOW:
+            window.popitem(last=False)
+        return record, True
 
     def query(self, src_node=None, kind=None, since=None, until=None,
               limit=None, cursor=None) -> tuple[list[SensorRecord], int | None]:
@@ -206,31 +285,33 @@ class RecordStore:
             raise InvalidInput(f"kind must be a RecordKind, got {kind!r}")
         if cursor is not None and not isinstance(cursor, int):
             raise InvalidInput(f"cursor must be an integer, got {cursor!r}")
-        records = self._records
+        msg_type = None if kind is None else _TYPE_OF_KIND[kind]
+        types, stamps = self._type, self._received_at
         start = max(cursor or 0, 0)
-        out: list[SensorRecord] = []
-        for index in range(start, len(records)):
-            record = records[index]
-            if src_node is not None and record.src_node != src_node:
-                continue
-            if kind is not None and record.kind is not kind:
-                continue
-            if since is not None and record.received_at < since:
-                continue
-            if until is not None and record.received_at > until:
-                continue
-            if limit is not None and len(out) == limit:
-                return out, out[-1].record_id if out else start
-            out.append(record)
-        return out, None
+        # jump from match to match in the node column, or else the type column
+        if src_node is not None:
+            candidates = _positions(self._node, src_node, start)
+        elif msg_type is not None:
+            candidates = _positions(types, msg_type, start)
+        else:
+            candidates = range(start, len(types))
+        matches: list[int] = []
+        for index in candidates:
+            if ((msg_type is None or types[index] == msg_type)
+                    and (since is None or stamps[index] >= since)
+                    and (until is None or stamps[index] <= until)):
+                if limit is not None and len(matches) == limit:
+                    return self._records(matches), matches[-1] + 1 if matches else start
+                matches.append(index)
+        return self._records(matches), None
 
     def snapshot(self) -> dict[tuple[int, int], SensorRecord]:
         """Most recent record per (coordinator_id, src_node)."""
-        return dict(self._latest)
+        return dict(zip(self._latest, self._records(self._latest.values())))
 
     @property
     def max_coordinator_id(self) -> int:
-        return max(self._recent, default=0)
+        return max(self._coordinator, default=0)
 
     def close(self) -> None:
         self._file.close()

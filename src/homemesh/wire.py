@@ -113,14 +113,20 @@ def encode_datagram(d: Datagram) -> bytes:
     return body + CRC.pack(zlib.crc32(body))
 
 
-def _parse(data, start: int, stream: bool) -> tuple[Datagram, int] | None:
-    """Parse the frame that begins at data[start]; error offsets are frame-relative.
+def check_frame(data, start: int, stop: int,
+                stream: bool = False) -> tuple[MsgType, int, int, int] | None:
+    """Check the frame that begins at data[start]; error offsets are frame-relative.
 
-    The header is checked as soon as its 10 bytes are present. Without
-    `stream`, data must hold exactly one frame (start is 0). With it, trailing
-    bytes are the next frames', and None means the frame is not complete yet.
-    Returns the datagram and the offset just past its frame.
+    Validates magic, version, type, declared length and CRC where the frame
+    lies, without building a Datagram. The header is checked as soon as its
+    10 bytes are present. Without `stream`, the frame must end exactly at
+    `stop`. With it, the bytes up to `stop` past the frame are the next
+    frames', and None means the frame is not complete yet. Returns
+    (msg_type, seq, src_node, end), where end is the offset just past the frame.
     """
+    if stop - start < MIN_FRAME and not stream:
+        raise Truncated(f"frame of {stop - start} bytes is below the {MIN_FRAME}-byte minimum",
+                        offset=stop - start)
     magic, version, msg_type, seq, src_node, payload_len = HEADER.unpack_from(data, start)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic.hex()}", offset=0)
@@ -130,29 +136,29 @@ def _parse(data, start: int, stream: bool) -> tuple[Datagram, int] | None:
     if kind is None:
         raise UnknownType(f"unknown msg_type {msg_type:#04x}", offset=3)
     if payload_len > MAX_PAYLOAD:
-        raise LengthMismatch(f"declared payload length {payload_len} exceeds {MAX_PAYLOAD}", offset=8)
+        raise LengthMismatch(f"declared payload length {payload_len} exceeds {MAX_PAYLOAD}",
+                             offset=8)
     body_end = start + HEADER.size + payload_len
     end = body_end + CRC.size
-    if end > len(data):
+    if end > stop:
         if stream:
             return None
-        raise Truncated(f"frame needs {end} bytes, got {len(data)}", offset=len(data))
-    if end < len(data) and not stream:
-        raise LengthMismatch(f"{len(data) - end} trailing bytes after a {end}-byte frame",
-                             offset=end)
+        raise Truncated(f"frame needs {end - start} bytes, got {stop - start}",
+                        offset=stop - start)
+    if end < stop and not stream:
+        raise LengthMismatch(f"{stop - end} trailing bytes after a {end - start}-byte frame",
+                             offset=end - start)
     (crc,) = CRC.unpack_from(data, body_end)
     computed = zlib.crc32(data[start:body_end])
     if crc != computed:
         raise BadCrc(f"crc {crc:#010x} != computed {computed:#010x}", offset=body_end - start)
-    return Datagram(kind, seq, src_node, bytes(data[start + HEADER.size:body_end])), end
+    return kind, seq, src_node, end
 
 
 def decode_datagram(data: bytes) -> Datagram:
     """Parse exactly one frame, validating magic, version, type, length, CRC."""
-    if len(data) < MIN_FRAME:
-        raise Truncated(f"frame of {len(data)} bytes is below the {MIN_FRAME}-byte minimum",
-                        offset=len(data))
-    return _parse(data, 0, False)[0]
+    kind, seq, src_node, end = check_frame(data, 0, len(data))
+    return Datagram(kind, seq, src_node, bytes(data[HEADER.size:end - CRC.size]))
 
 
 class StreamDecoder:
@@ -174,11 +180,13 @@ class StreamDecoder:
         start = 0
         try:
             while len(buf) - start >= HEADER.size:
-                parsed = _parse(buf, start, True)
-                if parsed is None:
+                checked = check_frame(buf, start, len(buf), True)
+                if checked is None:
                     break
-                datagram, start = parsed
-                out.append(datagram)
+                kind, seq, src_node, end = checked
+                payload = bytes(buf[start + HEADER.size:end - CRC.size])
+                out.append(Datagram(kind, seq, src_node, payload))
+                start = end
         finally:
             del buf[:start]
         return out
@@ -274,15 +282,19 @@ def decode_cid(digits: str) -> CidEvent:
     """Split and validate a 16-digit Contact-ID message."""
     if len(digits) != CID_LENGTH:
         raise BadLength(f"expected {CID_LENGTH} digits, got {len(digits)}")
-    values = [cid_digit_value(ch) for ch in digits]
+    if not (digits.isascii() and digits.isdigit()):
+        for ch in digits:
+            cid_digit_value(ch)  # raises at the first character that is not a digit
     message_type = digits[4:6]
     if message_type not in CID_MESSAGE_TYPES:
         raise BadMessageType(f"message type {message_type!r} not in {CID_MESSAGE_TYPES}")
     qualifier = int(digits[6])
     if qualifier not in CID_QUALIFIERS:
         raise BadQualifier(f"qualifier {qualifier} not in {CID_QUALIFIERS}")
-    if sum(values) % 15 != 0:
-        raise BadChecksum(f"digit values sum to {sum(values)}, not a multiple of 15")
+    # the cid_digit_value sum: face values from the ASCII codes, plus 10 per '0'
+    total = sum(digits.encode("ascii")) - ord("0") * CID_LENGTH + 10 * digits.count("0")
+    if total % 15 != 0:
+        raise BadChecksum(f"digit values sum to {total}, not a multiple of 15")
     return CidEvent(
         account=digits[0:4],
         message_type=message_type,

@@ -1,9 +1,22 @@
 import random
+import warnings
 from pathlib import Path
 
 import pytest
 
 from homemesh.netmodel import DistanceTable, load_topology
+
+# When a hypothesis test fails, the plugin imports this module to write its
+# patch file. It pulls in libcst, which raises a DeprecationWarning on import;
+# under `-W error` that warning would end the session at the first failure.
+# Importing it here, with that one category ignored, keeps every other warning
+# an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TABLE1_PATH = REPO_ROOT / "fixtures" / "table1.json"

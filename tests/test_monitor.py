@@ -1,10 +1,15 @@
+import dataclasses
+import gc
 import json
 import logging
 import os
+import random
 import socket
 import tempfile
 import threading
 import time
+import tracemalloc
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +255,63 @@ def test_store_replay_truncates_a_damaged_record(tmp_path, damage):
     final = RecordStore(path)
     assert [r.seq for r in final.query()[0]] == [0, 1]
     final.close()
+
+
+def test_store_replay_truncates_a_frame_it_never_stores(tmp_path, caplog):
+    path = tmp_path / "s.log"
+    store = RecordStore(path)
+    store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    store.close()
+    good_size = path.stat().st_size
+    # a well-formed frame, but of a type the store never writes
+    raw = wire.encode_datagram(wire.Datagram(wire.MsgType.ACK, 1, 1))
+    with open(path, "ab") as fh:
+        fh.write(monitor.RECORD_HEADER.pack(5, 1, len(raw)) + raw)
+    with caplog.at_level(logging.WARNING, logger="homemesh.monitor"):
+        reopened = RecordStore(path)
+    assert f"corrupt record at byte {good_size}" in caplog.text
+    assert [r.seq for r in reopened.query()[0]] == [0]
+    assert path.stat().st_size == good_size
+    reopened.close()
+
+
+def test_store_refuses_a_frame_that_is_not_a_record(tmp_path):
+    path = tmp_path / "s.log"
+    store = RecordStore(path)
+    with pytest.raises(InvalidInput):
+        store.append(1, wire.Datagram(wire.MsgType.ACK, 1, 1))
+    store.close()
+    assert path.stat().st_size == 0
+
+
+def test_store_replay_retains_under_100_bytes_per_record(tmp_path):
+    path = tmp_path / "s.log"
+    rng = random.Random(15)
+    count = 20_000
+    with open(path, "wb") as fh:
+        for i in range(count):
+            roll = rng.randrange(100)
+            if roll < 90:
+                d = wire.Datagram(wire.MsgType.SENSOR_DATA, i & 0xFFFF, rng.randrange(2, 52),
+                                  rng.randbytes(10))
+            elif roll < 98:
+                d = wire.Datagram(wire.MsgType.HEARTBEAT, i & 0xFFFF, rng.randrange(2, 52))
+            else:
+                d = wire.Datagram(wire.MsgType.ALARM_CID, i & 0xFFFF, rng.randrange(2, 52),
+                                  VALID_CID)
+            raw = wire.encode_datagram(d)
+            fh.write(monitor.RECORD_HEADER.pack(i, 1 + i % 4, len(raw)) + raw)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = RecordStore(path)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.record_id for r in store.query(cursor=count - 1)[0]] == [count]
+    store.close()
+    assert retained <= 100 * count, f"{retained / count:.0f} B per record"
 
 
 # --- live service ------------------------------------------------------------------
@@ -1002,3 +1064,128 @@ def test_store_query_matches_naive_filter(specs, query):
             with pytest.raises(InvalidInput):
                 store.query(cursor=cursor)
         store.close()
+
+
+@given(stored_records, history_queries)
+@settings(max_examples=100, deadline=None)
+def test_store_query_after_reopen_matches_naive_filter(specs, query):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.log")
+        store = RecordStore(path)
+        records = []
+        for seq, (coordinator, node, msg_type, received_at) in enumerate(specs):
+            payload = VALID_CID if msg_type is wire.MsgType.ALARM_CID else bytes([seq])
+            record, _ = store.append(
+                coordinator, wire.Datagram(msg_type, seq, node, payload), received_at=received_at)
+            records.append(record)
+        store.close()
+        reopened = RecordStore(path)
+        assert reopened.query(**query) == naive_query(records, **query)
+        reopened.close()
+
+
+_RECORD_TYPES = (wire.MsgType.SENSOR_DATA, wire.MsgType.ALARM_CID, wire.MsgType.HEARTBEAT)
+
+
+def reference_replay(blob: bytes) -> tuple[int, list[tuple[int, int, wire.Datagram]]]:
+    """The valid prefix of a log, one `wire.decode_datagram` per record: its
+    length and its (received_at, coordinator, datagram) records."""
+    header = monitor.RECORD_HEADER
+    records, offset = [], 0
+    while offset + header.size <= len(blob):
+        received_at, coordinator, length = header.unpack_from(blob, offset)
+        end = offset + header.size + length
+        if end > len(blob):
+            break
+        try:
+            d = wire.decode_datagram(blob[offset + header.size:end])
+        except wire.ProtocolError:
+            break
+        if d.msg_type not in _RECORD_TYPES:
+            break
+        records.append((received_at, coordinator, d))
+        offset = end
+    return offset, records
+
+
+def fold_window(window, key) -> bool:
+    """The dedup rule on one window: whether key is new; a new key goes in."""
+    if key in window:
+        return False
+    window[key] = None
+    if len(window) > monitor.DEDUP_WINDOW:
+        window.popitem(last=False)
+    return True
+
+
+# small seq and payload alphabets, so that duplicates occur
+logged_frames = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3),   # coordinator
+              st.sampled_from(_RECORD_TYPES),
+              st.integers(min_value=0, max_value=3),   # seq
+              st.integers(min_value=1, max_value=3),   # src node
+              st.sampled_from([b"", b"a", VALID_CID])),
+    max_size=25)
+
+later_frames = st.lists(
+    st.tuples(st.booleans(),                           # under a logged coordinator, or a new one
+              st.integers(min_value=0, max_value=3),   # seq
+              st.sampled_from([b"", b"a", VALID_CID])),
+    max_size=8)
+
+
+@given(logged_frames, st.sampled_from(["cut", "flip"]), st.integers(min_value=0),
+       st.integers(min_value=1, max_value=255), st.integers(min_value=1, max_value=3),
+       later_frames)
+@settings(max_examples=200, deadline=None)
+def test_store_replay_matches_a_reference_replay(frames, damage, position, xor, logged, later):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monitor, "DEDUP_WINDOW", 3)
+        path = os.path.join(tmp, "s.log")
+        store = RecordStore(path)
+        stored = []  # the records append created, in log order
+        for coordinator, msg_type, seq, node, payload in frames:
+            d = wire.Datagram(msg_type, seq, node, payload)
+            record, created = store.append(coordinator, d)
+            if created:
+                stored.append(record)
+        store.close()
+
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        if damage == "cut" or not blob:
+            del blob[position % (len(blob) + 1):]
+        else:
+            blob[position % len(blob)] ^= xor
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        valid, replayed = reference_replay(bytes(blob))
+        assert len(replayed) <= len(stored)
+        # a flipped record header still replays, with the flipped stamp or coordinator
+        expected = []
+        for record, (received_at, coordinator, d) in zip(stored, replayed):
+            assert (d.seq, d.src_node, d.payload) == (record.seq, record.src_node, record.payload)
+            expected.append(dataclasses.replace(record, received_at=received_at,
+                                                coordinator_id=coordinator))
+
+        reopened = RecordStore(path)
+        assert os.path.getsize(path) == valid
+        assert reopened.query() == (expected, None)
+        assert reopened.snapshot() == {(r.coordinator_id, r.src_node): r for r in expected}
+        new = max((r.coordinator_id for r in expected), default=0) + 1
+        assert reopened.max_coordinator_id == new - 1
+
+        windows = {}
+        for record in expected:
+            key = (record.seq, record.payload)
+            window = windows.setdefault(record.coordinator_id, OrderedDict())
+            window[key] = None  # the fold keeps a repeated key where it was
+            if len(window) > monitor.DEDUP_WINDOW:
+                window.popitem(last=False)
+        for under_logged, seq, payload in later:
+            coordinator = logged if under_logged else new
+            _, created = reopened.append(
+                coordinator, wire.Datagram(wire.MsgType.SENSOR_DATA, seq, 1, payload))
+            window = windows.setdefault(coordinator, OrderedDict())
+            assert created == fold_window(window, (seq, payload))
+        reopened.close()

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import select
+import signal
 import socket
 import sys
 import time
@@ -218,16 +219,19 @@ def cmd_cid(args) -> int:
 def cmd_serve(args) -> int:
     service = monitor.serve(listen=args.listen, admin=args.admin,
                             store_path=args.store, command_timeout=args.command_timeout)
-    host, port = service.address
-    admin_host, admin_port = service.admin_address
-    print(f"listening on {host}:{port}, admin on {admin_host}:{admin_port}")
-    print(f"store: {args.store}", flush=True)  # a supervisor reads the ports from these lines
+    # a supervisor or a container stop sends SIGTERM: stop cleanly, as on Ctrl-C
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        host, port = service.address
+        admin_host, admin_port = service.admin_address
+        print(f"listening on {host}:{port}, admin on {admin_host}:{admin_port}")
+        print(f"store: {args.store}", flush=True)  # a supervisor reads the ports from these lines
         while True:
             time.sleep(1)
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         service.stop()
     return 0
 

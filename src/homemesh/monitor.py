@@ -13,14 +13,17 @@ admin protocol for queries, snapshots, and command dispatch.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import heapq
 import json
 import logging
 import os
 import socket
 import struct
+import sys
 import threading
 import time
+import zlib
 from array import array
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -35,6 +38,13 @@ log = logging.getLogger(__name__)
 RECORD_HEADER = struct.Struct(">QHI")
 # a stored record's header and its frame's header, read with one unpack
 _HEADERS = struct.Struct(RECORD_HEADER.format + wire.HEADER.format.lstrip(">"))
+
+# the column file `<log>.cols`: this header, then the five columns of the log's
+# first L bytes as native-order array bytes. Header: format tag, byte order, L,
+# CRC-32 of those L log bytes, record count, CRC-32 of the column bytes.
+_COLS_HEADER = struct.Struct(">8scQIQI")
+_COLS_TAG = b"HMCOLS\x00\x01"
+_BYTE_ORDER = b"<" if sys.byteorder == "little" else b">"
 
 DEFAULT_LISTEN = ("127.0.0.1", 7007)
 DEFAULT_ADMIN = ("127.0.0.1", 7008)
@@ -127,22 +137,28 @@ def _positions(column: array, value, start: int = 0):
 class RecordStore:
     """Append-only datagram log, held as its bytes plus one array per column.
 
-    One record on disk is RECORD_HEADER followed by the encoded datagram.
-    Opening the store reads the log once and checks every record where it lies,
-    as `wire.decode_datagram` would; each column (record offset, received_at,
-    coordinator, node, message type) gets one entry per record, an index of
-    offsets into the log like Bitcask's keydir. A torn tail from a crashed
-    writer, or a damaged record (or a frame type the store never writes) and
-    everything after it, is truncated away. A SensorRecord is built only when
-    a method returns one. A frame is a duplicate, and is not stored again, when
-    its coordinator stored the same (seq, payload) among its last DEDUP_WINDOW
-    stored frames; a coordinator's window is built on the first append under
-    its id. A store holds no lock: use it from one thread (MonitorService uses
-    its loop thread).
+    One record on disk is RECORD_HEADER followed by the encoded datagram. Each
+    column (record offset, received_at, coordinator, node, message type) gets
+    one entry per record, an index of offsets into the log like Bitcask's
+    keydir. Opening the store reads the log once. If the column file
+    `<log>.cols` that `close()` left is whole, ours, and describes the log's
+    first L bytes exactly (same length and CRC-32), the columns of those
+    records are loaded from it, as Bitcask rebuilds its keydir from hint
+    files; every record past L, or every record when the file is missing or
+    does not match, is checked where it lies, as `wire.decode_datagram`
+    would. A torn tail from a crashed writer, or a damaged record (or a frame
+    type the store never writes) and everything after it, is truncated away.
+    The column file is a cache: deleting it costs one full replay. A
+    SensorRecord is built only when a method returns one. A frame is a
+    duplicate, and is not stored again, when its coordinator stored the same
+    (seq, payload) among its last DEDUP_WINDOW stored frames; a coordinator's
+    window is built on the first append under its id. A store holds no lock:
+    use it from one thread (MonitorService uses its loop thread).
     """
 
     def __init__(self, path):
         self._path = str(path)
+        self._cols_path = self._path + ".cols"
         self._log = bytearray()  # the log file's bytes
         # one entry per record, at index record_id - 1
         self._offset = array("Q")
@@ -154,22 +170,67 @@ class RecordStore:
         # per coordinator: (seq, payload) -> the record append returned, or the
         # index of a record from the log; oldest first
         self._windows: dict[int, OrderedDict[tuple[int, bytes], SensorRecord | int]] = {}
+        self._cols_covers: int | None = None  # log bytes the loaded column file describes
         if os.path.exists(self._path):
             with open(self._path, "rb") as fh:
                 self._log = bytearray(fh.read())
-            self._replay()
+        self._replay(*self._load_columns())
         self._file = open(self._path, "ab")
         if self._file.tell() > len(self._log):
             self._file.truncate(len(self._log))
 
-    def _replay(self) -> None:
+    def _columns(self) -> tuple[array, ...]:
+        return self._offset, self._received_at, self._coordinator, self._node, self._type
+
+    def _load_columns(self) -> tuple[int, int]:
+        """Load the columns of the log's first L bytes from the column file when
+        it describes exactly those bytes; returns (L, records loaded), (0, 0)
+        when the whole log is to be replayed."""
+        try:
+            with open(self._cols_path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return self._full_replay("missing")
+        except OSError:
+            return self._full_replay("damaged")
+        if len(data) < _COLS_HEADER.size:
+            return self._full_replay("damaged")
+        tag, order, length, log_crc, count, cols_crc = _COLS_HEADER.unpack_from(data)
+        if tag != _COLS_TAG or order != _BYTE_ORDER:
+            return self._full_replay("foreign")
+        columns = self._columns()
+        body = memoryview(data)[_COLS_HEADER.size:]
+        if (len(body) != count * sum(column.itemsize for column in columns)
+                or zlib.crc32(body) != cols_crc):
+            return self._full_replay("damaged")
+        # released at once: replay may truncate the log's bytes
+        with memoryview(self._log) as log_view:
+            if length > len(self._log) or zlib.crc32(log_view[:length]) != log_crc:
+                return self._full_replay("stale")
+        start = 0
+        for column in columns:
+            end = start + count * column.itemsize
+            column.frombytes(body[start:end])
+            start = end
+        self._latest = dict(zip(zip(self._coordinator, self._node), range(count)))
+        self._cols_covers = length
+        log.info("%s: %d records from the column file, replaying the %d log bytes past it",
+                 self._path, count, len(self._log) - length)
+        return length, count
+
+    def _full_replay(self, reason: str) -> tuple[int, int]:
+        log.info("%s: replaying the whole log, column file %s", self._path, reason)
+        return 0, 0
+
+    def _replay(self, offset: int, index: int) -> None:
+        """Check and index the log's records from byte offset on, the first of
+        them at record index; truncate the log at the first one torn or damaged."""
         blob = self._log
         add_offset, add_received_at = self._offset.append, self._received_at.append
         add_coordinator, add_node, add_type = \
             self._coordinator.append, self._node.append, self._type.append
         latest = self._latest
         size = len(blob)
-        offset = index = 0
         while offset + RECORD_HEADER.size <= size:
             received_at, coordinator_id, length = RECORD_HEADER.unpack_from(blob, offset)
             frame = offset + RECORD_HEADER.size
@@ -314,7 +375,35 @@ class RecordStore:
         return max(self._coordinator, default=0)
 
     def close(self) -> None:
+        """Close the log, then write the column file unless the one loaded at
+        open already describes the whole log; a second call does nothing."""
+        if self._file.closed:
+            return
         self._file.close()
+        if self._cols_covers != len(self._log):
+            self._write_columns()
+
+    def _write_columns(self) -> None:
+        """Write the column file whole to a temporary file, then put it in
+        place, so a crash leaves the older file (or none), never a part."""
+        columns = self._columns()
+        cols_crc = 0
+        for column in columns:
+            cols_crc = zlib.crc32(column, cols_crc)
+        header = _COLS_HEADER.pack(_COLS_TAG, _BYTE_ORDER, len(self._log),
+                                   zlib.crc32(self._log), len(self._offset), cols_crc)
+        tmp = self._cols_path + ".tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                for column in columns:
+                    fh.write(column)
+            os.replace(tmp, self._cols_path)
+        except OSError as exc:
+            # the file is a cache: without it the next open replays the log
+            log.warning("%s: cannot write the column file: %s", self._path, exc)
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 class _Session:

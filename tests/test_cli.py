@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import re
 import select
@@ -312,6 +313,41 @@ def test_serve_process_ingests_answers_and_exits_on_sigint(tmp_path, capsys):
             proc.kill()
             proc.wait()
         proc.stdout.close()
+
+
+def test_serve_process_stops_cleanly_on_sigterm(tmp_path, caplog):
+    store = tmp_path / "store.log"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
+         "--admin", "127.0.0.1:0", "--store", str(store)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0], "serve printed no address"
+        match = re.fullmatch(r"listening on ([\d.]+):(\d+), admin on .*\n",
+                             proc.stdout.readline().decode())
+        assert match
+        with socket.create_connection((match[1], int(match[2])), timeout=5) as sock:
+            sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 3, 1)))
+            decoder = wire.StreamDecoder()
+            replies = []
+            while not replies:
+                data = sock.recv(4096)
+                assert data, "serve closed the session"
+                replies = decoder.feed(data)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    # stop() closed the store, which wrote the column file
+    with caplog.at_level(logging.INFO, logger="homemesh.monitor"):
+        reopened = monitor.RecordStore(store)
+    assert "1 records from the column file" in caplog.text
+    assert [r.seq for r in reopened.query()[0]] == [3]
+    reopened.close()
 
 
 # --- demo ---------------------------------------------------------------------------

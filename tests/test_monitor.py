@@ -284,10 +284,9 @@ def test_store_refuses_a_frame_that_is_not_a_record(tmp_path):
     assert path.stat().st_size == 0
 
 
-def test_store_replay_retains_under_100_bytes_per_record(tmp_path):
-    path = tmp_path / "s.log"
+def write_mixed_log(path, count):
+    """A log of count seeded records under 4 coordinators, mostly readings."""
     rng = random.Random(15)
-    count = 20_000
     with open(path, "wb") as fh:
         for i in range(count):
             roll = rng.randrange(100)
@@ -301,6 +300,10 @@ def test_store_replay_retains_under_100_bytes_per_record(tmp_path):
                                   VALID_CID)
             raw = wire.encode_datagram(d)
             fh.write(monitor.RECORD_HEADER.pack(i, 1 + i % 4, len(raw)) + raw)
+
+
+def open_retained(path) -> tuple[RecordStore, int]:
+    """The opened store and the bytes the open left allocated."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -309,9 +312,150 @@ def test_store_replay_retains_under_100_bytes_per_record(tmp_path):
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return store, retained
+
+
+def test_store_replay_retains_under_100_bytes_per_record(tmp_path):
+    path = tmp_path / "s.log"
+    count = 20_000
+    write_mixed_log(path, count)
+    store, retained = open_retained(path)
     assert [r.record_id for r in store.query(cursor=count - 1)[0]] == [count]
     store.close()
     assert retained <= 100 * count, f"{retained / count:.0f} B per record"
+
+
+def test_store_warm_open_retains_under_100_bytes_per_record(tmp_path, caplog):
+    path = tmp_path / "s.log"
+    count = 20_000
+    write_mixed_log(path, count)
+    store, cold = open_retained(path)
+    store.close()
+    with caplog.at_level(logging.INFO, logger="homemesh.monitor"):
+        store, warm = open_retained(path)
+    assert f"{count} records from the column file" in caplog.text
+    assert [r.record_id for r in store.query(cursor=count - 1)[0]] == [count]
+    store.close()
+    assert warm <= 100 * count, f"{warm / count:.0f} B per record"
+    # the column file's bytes (21 B per record), read whole, are not kept
+    assert warm <= cold + 5 * count, f"{(warm - cold) / count:.0f} B per record beyond a replay"
+
+
+def close_three_heartbeats(path) -> bytes:
+    """A store of three records, closed; returns the column file it wrote."""
+    store = RecordStore(path)
+    for seq in range(3):
+        store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, seq, 1), received_at=seq)
+    store.close()
+    with open(f"{path}.cols", "rb") as fh:
+        return fh.read()
+
+
+def test_store_open_loads_the_column_file_and_replays_the_tail(tmp_path, caplog):
+    path = tmp_path / "s.log"
+    close_three_heartbeats(path)
+    covered = path.stat().st_size
+    raw = wire.encode_datagram(wire.Datagram(wire.MsgType.SENSOR_DATA, 3, 2, b"tail"))
+    with open(path, "ab") as fh:
+        fh.write(monitor.RECORD_HEADER.pack(3, 2, len(raw)) + raw)
+    tail = path.stat().st_size - covered
+    with caplog.at_level(logging.INFO, logger="homemesh.monitor"):
+        store = RecordStore(path)
+    assert f"3 records from the column file, replaying the {tail} log bytes past it" \
+        in caplog.text
+    assert [(r.coordinator_id, r.seq) for r in store.query()[0]] == [(1, 0), (1, 1), (1, 2), (2, 3)]
+    assert store.snapshot()[(2, 2)].payload == b"tail"
+    assert store.max_coordinator_id == 2
+    store.close()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="homemesh.monitor"):
+        RecordStore(path).close()
+    assert "4 records from the column file, replaying the 0 log bytes past it" in caplog.text
+
+
+def _cut_the_log(path, cols):
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 1)
+
+
+def _restamp_the_first_record(path, cols):
+    # the log stays well formed, but its bytes are not those the file describes
+    with open(path, "r+b") as fh:
+        fh.write(monitor.RECORD_HEADER.pack(99, 1, 0)[:8])
+
+
+def _flip_a_column_byte(path, cols):
+    cols[-1] ^= 0x01
+    path.with_name(path.name + ".cols").write_bytes(cols)
+
+
+def _swap_the_byte_order(path, cols):
+    cols[8] = ord(">") if cols[8] == ord("<") else ord("<")
+    path.with_name(path.name + ".cols").write_bytes(cols)
+
+
+def _delete_the_file(path, cols):
+    path.with_name(path.name + ".cols").unlink()
+
+
+@pytest.mark.parametrize("reason, spoil", [
+    ("missing", _delete_the_file),
+    ("stale", _cut_the_log),
+    ("stale", _restamp_the_first_record),
+    ("damaged", _flip_a_column_byte),
+    ("foreign", _swap_the_byte_order),
+], ids=["missing", "stale-cut", "stale-rewritten", "damaged", "foreign"])
+def test_store_open_logs_why_it_replays_the_whole_log(tmp_path, caplog, reason, spoil):
+    path = tmp_path / "s.log"
+    spoil(path, bytearray(close_three_heartbeats(path)))
+    valid, replayed = reference_replay(path.read_bytes())
+    with caplog.at_level(logging.INFO, logger="homemesh.monitor"):
+        store = RecordStore(path)
+    assert [m for m in caplog.messages if "column file" in m] == \
+        [f"{path}: replaying the whole log, column file {reason}"]
+    assert [(r.received_at, r.seq) for r in store.query()[0]] == \
+        [(received_at, d.seq) for received_at, _, d in replayed]
+    store.close()
+    assert path.stat().st_size == valid
+
+
+def test_store_close_writes_the_column_file_at_most_once(tmp_path, monkeypatch):
+    path = tmp_path / "s.log"
+    replaced = []
+    replace = os.replace
+    monkeypatch.setattr(monitor.os, "replace", lambda *a: (replaced.append(a), replace(*a)))
+    store = RecordStore(path)
+    store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    store.close()
+    store.close()
+    assert len(replaced) == 1
+    # a file that already covers the whole log is not written again
+    RecordStore(path).close()
+    assert len(replaced) == 1
+    store = RecordStore(path)
+    store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 1, 1))
+    store.close()
+    assert len(replaced) == 2
+
+
+def test_store_close_survives_a_column_file_it_cannot_write(tmp_path, monkeypatch, caplog):
+    path = tmp_path / "s.log"
+
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(monitor.os, "replace", no_space)
+    store = RecordStore(path)
+    store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    with caplog.at_level(logging.WARNING, logger="homemesh.monitor"):
+        store.close()
+    assert "cannot write the column file" in caplog.text
+    assert store._file.closed
+    assert sorted(os.listdir(tmp_path)) == ["s.log"]
+    monkeypatch.undo()
+    reopened = RecordStore(path)
+    assert [r.seq for r in reopened.query()[0]] == [0]
+    reopened.close()
 
 
 # --- live service ------------------------------------------------------------------
@@ -1134,58 +1278,89 @@ later_frames = st.lists(
     max_size=8)
 
 
-@given(logged_frames, st.sampled_from(["cut", "flip"]), st.integers(min_value=0),
-       st.integers(min_value=1, max_value=255), st.integers(min_value=1, max_value=3),
-       later_frames)
+# what the column file is when the store reopens: the one the last close wrote,
+# one from an earlier close (records appended after it), none, one with a
+# flipped byte, or the last one beside a log cut back to an earlier close's size
+COLUMN_FILE_FATES = ["fresh", "stale", "missing", "flipped", "longer"]
+
+
+@given(logged_frames, st.integers(min_value=0), st.sampled_from(["none", "cut", "flip"]),
+       st.integers(min_value=0), st.integers(min_value=1, max_value=255),
+       st.integers(min_value=1, max_value=3), later_frames)
 @settings(max_examples=200, deadline=None)
-def test_store_replay_matches_a_reference_replay(frames, damage, position, xor, logged, later):
+def test_store_replay_matches_a_reference_replay(frames, split, damage, position, xor, logged,
+                                                 later):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(monitor, "DEDUP_WINDOW", 3)
         path = os.path.join(tmp, "s.log")
-        store = RecordStore(path)
+        cols_path = path + ".cols"
         stored = []  # the records append created, in log order
-        for coordinator, msg_type, seq, node, payload in frames:
-            d = wire.Datagram(msg_type, seq, node, payload)
-            record, created = store.append(coordinator, d)
-            if created:
-                stored.append(record)
-        store.close()
+        closes = []  # (log size, column file) after each close
+        split %= len(frames) + 1
+        for batch in (frames[:split], frames[split:]):
+            store = RecordStore(path)
+            for coordinator, msg_type, seq, node, payload in batch:
+                d = wire.Datagram(msg_type, seq, node, payload)
+                record, created = store.append(coordinator, d)
+                if created:
+                    stored.append(record)
+            store.close()
+            with open(cols_path, "rb") as fh:
+                closes.append((os.path.getsize(path), fh.read()))
 
         with open(path, "rb") as fh:
-            blob = bytearray(fh.read())
-        if damage == "cut" or not blob:
-            del blob[position % (len(blob) + 1):]
-        else:
-            blob[position % len(blob)] ^= xor
-        with open(path, "wb") as fh:
-            fh.write(blob)
-        valid, replayed = reference_replay(bytes(blob))
-        assert len(replayed) <= len(stored)
-        # a flipped record header still replays, with the flipped stamp or coordinator
-        expected = []
-        for record, (received_at, coordinator, d) in zip(stored, replayed):
-            assert (d.seq, d.src_node, d.payload) == (record.seq, record.src_node, record.payload)
-            expected.append(dataclasses.replace(record, received_at=received_at,
-                                                coordinator_id=coordinator))
+            damaged = bytearray(fh.read())
+        if damage == "flip" and damaged:
+            damaged[position % len(damaged)] ^= xor
+        elif damage != "none":
+            del damaged[position % (len(damaged) + 1):]
 
-        reopened = RecordStore(path)
-        assert os.path.getsize(path) == valid
-        assert reopened.query() == (expected, None)
-        assert reopened.snapshot() == {(r.coordinator_id, r.src_node): r for r in expected}
-        new = max((r.coordinator_id for r in expected), default=0) + 1
-        assert reopened.max_coordinator_id == new - 1
+        for fate in COLUMN_FILE_FATES:
+            blob = damaged
+            cols = bytearray(closes[fate == "stale"][1])
+            if fate == "flipped":
+                cols[position % len(cols)] ^= xor
+            elif fate == "longer":
+                blob = damaged[:closes[0][0]]
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            if fate == "missing":
+                os.remove(cols_path)
+            else:
+                with open(cols_path, "wb") as fh:
+                    fh.write(cols)
+            check_reopen(path, bytes(blob), stored, logged, later)
 
-        windows = {}
-        for record in expected:
-            key = (record.seq, record.payload)
-            window = windows.setdefault(record.coordinator_id, OrderedDict())
-            window[key] = None  # the fold keeps a repeated key where it was
-            if len(window) > monitor.DEDUP_WINDOW:
-                window.popitem(last=False)
-        for under_logged, seq, payload in later:
-            coordinator = logged if under_logged else new
-            _, created = reopened.append(
-                coordinator, wire.Datagram(wire.MsgType.SENSOR_DATA, seq, 1, payload))
-            window = windows.setdefault(coordinator, OrderedDict())
-            assert created == fold_window(window, (seq, payload))
-        reopened.close()
+
+def check_reopen(path, blob, stored, logged, later):
+    """Reopen the store on this log and compare it with the reference replay."""
+    valid, replayed = reference_replay(blob)
+    assert len(replayed) <= len(stored)
+    # a flipped record header still replays, with the flipped stamp or coordinator
+    expected = []
+    for record, (received_at, coordinator, d) in zip(stored, replayed):
+        assert (d.seq, d.src_node, d.payload) == (record.seq, record.src_node, record.payload)
+        expected.append(dataclasses.replace(record, received_at=received_at,
+                                            coordinator_id=coordinator))
+
+    reopened = RecordStore(path)
+    assert os.path.getsize(path) == valid
+    assert reopened.query() == (expected, None)
+    assert reopened.snapshot() == {(r.coordinator_id, r.src_node): r for r in expected}
+    new = max((r.coordinator_id for r in expected), default=0) + 1
+    assert reopened.max_coordinator_id == new - 1
+
+    windows = {}
+    for record in expected:
+        key = (record.seq, record.payload)
+        window = windows.setdefault(record.coordinator_id, OrderedDict())
+        window[key] = None  # the fold keeps a repeated key where it was
+        if len(window) > monitor.DEDUP_WINDOW:
+            window.popitem(last=False)
+    for under_logged, seq, payload in later:
+        coordinator = logged if under_logged else new
+        _, created = reopened.append(
+            coordinator, wire.Datagram(wire.MsgType.SENSOR_DATA, seq, 1, payload))
+        window = windows.setdefault(coordinator, OrderedDict())
+        assert created == fold_window(window, (seq, payload))
+    reopened.close()

@@ -4,10 +4,12 @@ The machine drives the core alone, as the service's shell would, through a
 fake transport and a virtual clock: no socket, thread or sleep is involved,
 and only the store's record stamps read the wall clock, which no invariant
 looks at. The store writes its log to a temporary directory, so a restart
-replays it. DEDUP_WINDOW and TICKET_RETENTION are made small, so that dedup
-windows and finished tickets are evicted within a run.
+replays it, from whatever its column file has become. DEDUP_WINDOW and
+TICKET_RETENTION are made small, so that dedup windows and finished tickets
+are evicted within a run.
 """
 
+import os
 import shutil
 import tempfile
 from collections import OrderedDict
@@ -71,6 +73,7 @@ class CoreMachine(RuleBasedStateMachine):
         self.windows: dict[int, OrderedDict] = {}
         self.stored: list[tuple[int, int, bytes]] = []  # (coordinator, seq, payload)
         self.sent: list[Sent] = []
+        self.column_files: list[bytes] = []  # the column file after each restart's close
         self.connect()
 
     def teardown(self):
@@ -164,12 +167,28 @@ class CoreMachine(RuleBasedStateMachine):
             if sent.deadline <= self.now and sent.expected is TicketState.SENT:
                 sent.expected = TicketState.TIMED_OUT
 
-    @rule(new_process=st.booleans())
-    def restart(self, new_process):
+    @rule(new_process=st.booleans(),
+          fate=st.sampled_from(["keep", "delete", "earlier", "flip"]),
+          pick=PICK, position=st.integers(min_value=0))
+    def restart(self, new_process, fate, pick, position):
         # what MonitorService.stop() then start() do; a new process starts a new core
         for session in list(self.live.values()):
             self._end(session)
         self.core.close()
+        # the column file is a cache: whatever becomes of it, the invariants hold
+        cols_path = self.path + ".cols"
+        with open(cols_path, "rb") as fh:
+            self.column_files.append(fh.read())
+        if fate == "delete":
+            os.remove(cols_path)
+        elif fate == "earlier":
+            with open(cols_path, "wb") as fh:
+                fh.write(self.column_files[pick % len(self.column_files)])
+        elif fate == "flip":
+            cols = bytearray(self.column_files[-1])
+            cols[position % len(cols)] ^= 0x01
+            with open(cols_path, "wb") as fh:
+                fh.write(cols)
         if new_process:
             self.core = MonitorCore(self.path, command_timeout=TIMEOUT)
         self.core.open()

@@ -9,32 +9,37 @@ One label search serves both kinds of query. find_optimal_path stops it when
 the destination is settled; shortest_path_tree runs it until the heap is
 empty and returns every node's route from the source. The two agree exactly,
 float ties included: a label, once settled, is never changed by the rest of
-the search, so stopping early only leaves later nodes unsettled. A candidate
-label is compared with the one queued for its node on distance first; its
-path tuple is copied only when it wins there or comes within rounding of it
-and wins on hops or ties them. Routes is the
-one owner of trees: callers that route many pairs on a table at a radius ask
-one Routes object, which builds each source's tree on first use.
+the search, so stopping early only leaves later nodes unsettled. A label is
+(dist, hops, node, parent), where parent is the label it extends, so a
+relaxation copies no path and labels share their prefixes. Node sequences
+are compared only between labels of one node that tie on hops and on
+distance, or come within rounding of it, by walking both parent chains.
+Routes is the one owner of searches: callers that route many pairs on a
+table at a radius ask one Routes object, which searches from each source on
+first use and reads each path out of its labels once.
 
-The all-pairs profile never walks the n(n-1) paths. A tree is prefix-closed
-but where float rounding makes a route leave its parent's route, so a node's
-visits over every route from the source follow from its subtree size
-(Brandes' dependency accumulation, one tree per source). The profile
-folds over the sources, tallying each tree and dropping it before building
-the next, so it holds one tree at a time; tally_pairs, which keeps every
-tree, serves drawn traffic, where pairs repeat.
+The all-pairs profile never walks the n(n-1) paths. A route extends its
+parent label's route, which is its node-before-last's own route but where
+float rounding makes a route leave it, so a node's visits over every route
+from the source follow from its subtree size (Brandes' dependency
+accumulation, one search per source). The profile folds over the sources,
+tallying each search's settled labels and dropping them before the next
+search, so it holds one search at a time; tally_pairs, which keeps every
+source's paths, serves drawn traffic, where pairs repeat.
 
 A Routes builds one radius-pruned adjacency, each node's (next node, cost)
-pairs within the radius, with its first tree and shares it with every later
-tree, so a tree costs n times the degree instead of n squared. A single
-find_optimal_path query keeps the row scan: it settles only part of the net,
-and building the adjacency for it costs more than the scan it saves.
+pairs within the radius, with its first search and shares it with every
+later one, so a search costs n times the degree instead of n squared. A
+single find_optimal_path query keeps the row scan: it settles only part of
+the net, and building the adjacency for it costs more than the scan it
+saves.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +48,8 @@ from .netmodel import DistanceTable
 
 # brute_force_route refuses networks above this size
 ENUMERATION_LIMIT = 12
+
+_HOPS = itemgetter(1)  # a label's hop count
 
 
 @dataclass(frozen=True)
@@ -97,13 +104,46 @@ def _check_query(table: DistanceTable, query: RouteQuery) -> None:
     _check_radius(query.radius)
 
 
-def _label_search(table: DistanceTable, src: int, radius: float, stop: int | None = None,
-                  edges=None):
-    """The (dist, hops, path) label settled for each node id, None if unreached.
+def _precedes(a, b) -> bool:
+    """Whether label a's node sequence is less than label b's; a and b have equal hops.
 
-    Dijkstra over the radius-pruned edge set with composite labels: heap
-    entries compare as (distance so far, hops so far, node sequence), and
-    the first label popped for a node is its global optimum. The search
+    Walks both parent chains in lockstep from the labels up. The chains have
+    the same length, so they reach the source together, or meet earlier at a
+    shared label, above which the two sequences agree. The topmost node where
+    they differ decides.
+    """
+    less = False
+    while a is not b:
+        if a[2] != b[2]:
+            less = a[2] < b[2]
+        a = a[3]
+        b = b[3]
+    return less
+
+
+def _path(label) -> tuple[int, ...]:
+    """A label's node sequence, read up its parent chain."""
+    nodes = []
+    while label is not None:
+        nodes.append(label[2])
+        label = label[3]
+    nodes.reverse()
+    return tuple(nodes)
+
+
+def _label_search(table: DistanceTable, src: int, radius: float, edges=None,
+                  stop: int | None = None) -> list[tuple | None]:
+    """The (dist, hops, node, parent) label settled for each node id, None if unreached.
+
+    Dijkstra over the radius-pruned edge set with composite labels: a label
+    orders as (distance so far, hops so far, node sequence), and the first
+    label settled for a node is its global optimum. `parent` is the label
+    this one extends, None at the source, so a label's node sequence is read
+    up its parent chain and a relaxation copies no path. The heap compares
+    the label tuples as they are, so two labels of one node that tie exactly
+    on (dist, hops) may pop in either order. Only the one whose sequence wins
+    (_precedes) is `queued` for the node, so a popped label that is not its
+    unsettled node's queued one lost that tie and is skipped. The search
     returns as soon as `stop` is settled; without a stop it settles every
     reachable node.
 
@@ -113,39 +153,45 @@ def _label_search(table: DistanceTable, src: int, radius: float, stop: int | Non
     above 0.1 + 0.2 + 0.2 + 0.1, yet adding 0.2 to the first and 0.3 to
     0.1 + 0.2 + 0.2 gives 0.8 for both. So a node may expand later labels
     too. A label is dropped only when a label of its node that is no longer
-    beats it on (hops, path), or is shorter by more than `tol`: n + 1 ulps of
-    2n times the longest usable hop, more than rounding can close over the
-    fewer than n hops still to come. `queued[v]` is the least label pushed
-    for v, popped first; `limit[v]` is its distance plus `tol`; `front[v]`
-    is v's least label on (hops, path) among its first and its expanded
-    ones. Sums without rounding, as on integer costs, never tie that way,
-    so there each node expands its first label only.
+    beats it on (hops, sequence), or is shorter by more than `tol`: n + 1
+    ulps of 2n times the longest usable hop, more than rounding can close
+    over the fewer than n hops still to come. `queued[v]` is the least label
+    pushed for v, popped first; `limit[v]` is its distance plus `tol`;
+    `front[v]` is v's least label on (hops, sequence) among its first and
+    its expanded ones. An expanded label that is not its node's settled one
+    is a detour: the labels it parents leave that node's route. Sums without
+    rounding, as on integer costs, never tie that way, so there each node
+    expands its first label only and there are no detours.
 
     A settled node's out-edges come from `edges[node]`, a list of (next node,
     cost) pairs in id order, when an adjacency is given, and from a scan of
     its whole cost row otherwise; the two offer the same usable edges in the
-    same order.
+    same order, but for the self edge, which the scan offers and which never
+    wins.
     """
     cost = table.cost
     n = table.n
     tol = (n + 1) * math.ulp(2 * n * min(radius, table.max_cost))
-    settled: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (n + 1)
-    queued: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (n + 1)
-    front: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (n + 1)
+    settled: list[tuple | None] = [None] * (n + 1)
+    queued: list[tuple | None] = [None] * (n + 1)
+    front: list[tuple | None] = [None] * (n + 1)
     limit = [math.inf] * (n + 1)
-    heap = [(0.0, 0, (src,))]
+    label = queued[src] = front[src] = (0.0, 0, src, None)
+    limit[src] = tol
+    heap = [label]
     while heap:
         label = heapq.heappop(heap)
-        dist, hops, path = label
-        node = path[-1]
+        dist, hops, node, _ = label
         if settled[node] is None:
+            if label is not queued[node]:  # lost an exact (dist, hops) tie
+                continue
             settled[node] = label
             if node == stop:
                 break
         else:
             least = front[node]
             if dist > limit[node] or not (hops < least[1] or hops == least[1]
-                                          and path < least[2]):
+                                          and _precedes(label, least)):
                 continue
             front[node] = label
         next_hops = hops + 1
@@ -155,15 +201,15 @@ def _label_search(table: DistanceTable, src: int, radius: float, stop: int | Non
                 if next_dist <= limit[nxt]:
                     best = queued[nxt]
                     if best is None or next_dist < best[0]:
-                        queued[nxt] = front[nxt] = candidate = (next_dist, next_hops, path + (nxt,))
+                        queued[nxt] = front[nxt] = candidate = (next_dist, next_hops, nxt, label)
                         limit[nxt] = next_dist + tol
                         heapq.heappush(heap, candidate)
                         continue
-                    # the tuple order spelled out, so that the path is copied
-                    # only for a label that wins or ties on hops
+                    # front[nxt] also ends at nxt, so on equal hops the
+                    # sequences differ where label's and its parent's do
                     least = front[nxt]
-                    if next_hops < least[1] or next_hops == least[1] and path + (nxt,) < least[2]:
-                        candidate = (next_dist, next_hops, path + (nxt,))
+                    if next_hops < least[1] or next_hops == least[1] and _precedes(label, least[3]):
+                        candidate = (next_dist, next_hops, nxt, label)
                         if next_dist == best[0]:
                             queued[nxt] = front[nxt] = candidate
                         heapq.heappush(heap, candidate)
@@ -182,8 +228,7 @@ def find_optimal_path(table: DistanceTable, query: RouteQuery) -> Route:
     label = _label_search(table, query.src, query.radius, stop=query.dst)[query.dst]
     if label is None:
         raise NoPath(query.src, query.dst, query.radius)
-    dist, hops, path = label
-    return Route(path, dist, hops)
+    return Route(_path(label), label[0], label[1])
 
 
 def shortest_path_tree(table: DistanceTable, src: int, radius: float,
@@ -197,46 +242,67 @@ def shortest_path_tree(table: DistanceTable, src: int, radius: float,
     """
     table.check_node(src)
     _check_radius(radius)
-    return [label and label[2] for label in _label_search(table, src, radius, edges=edges)]
+    return [label and _path(label) for label in _label_search(table, src, radius, edges)]
+
+
+_UNREAD = object()  # a Routes path entry not yet read out of its labels
 
 
 class Routes:
-    """Best routes on one table at one radius, one tree per source on demand.
+    """Best routes on one table at one radius, one search per source on demand.
 
     path(src, dst) is the path find_optimal_path returns for (src, dst,
-    radius), or None when dst is unreachable. A source's tree is built on its
-    first pair and kept for the life of the object. tree(src) hands out that
-    kept tree, or builds one it does not keep, for a caller that reads each
-    tree once. The first tree also builds the radius-pruned adjacency that
-    every tree then searches: entry v lists the (next node, cost) pairs of
-    v's cost row within the radius.
+    radius), or None when dst is unreachable. A source's search runs on its
+    first pair and its settled labels are kept for the life of the object,
+    as is each path, read out of them on its first pair. Traffic asks a few
+    destinations per source, so reading out only those costs less than
+    reading out every one. labels(src) hands out the kept labels, or
+    runs a search it does not keep, for a caller that reads each source
+    once. The first search also builds the radius-pruned adjacency that
+    every search then walks: entry v lists the (next node, cost) pairs of
+    v's cost row within the radius, v itself left out.
     """
 
     def __init__(self, table: DistanceTable, radius: float):
         _check_radius(radius)
         self.table = table
         self.radius = radius
-        self._trees: list[list[tuple[int, ...] | None] | None] = [None] * (table.n + 1)
+        self._labels: list[list[tuple | None] | None] = [None] * (table.n + 1)
+        # per source, each destination's path, None, or _UNREAD
+        self._paths: list[list | None] = [None] * (table.n + 1)
         self._edges: list[list[tuple[int, float]]] | None = None
 
-    def tree(self, src: int) -> list[tuple[int, ...] | None]:
-        """src's tree as shortest_path_tree returns it: the kept one, else a new one."""
+    def labels(self, src: int) -> list[tuple | None]:
+        """src's settled labels, as _label_search returns them: the kept ones, else new ones."""
         self.table.check_node(src)
-        tree = self._trees[src]
-        if tree is None:
+        labels = self._labels[src]
+        if labels is None:
             if self._edges is None:
                 radius = self.radius
                 self._edges = [[]] + [
-                    [(nxt, edge) for nxt, edge in enumerate(row, 1) if edge <= radius]
-                    for row in self.table.cost
+                    [(nxt, edge) for nxt, edge in enumerate(row, 1)
+                     if edge <= radius and nxt != node]
+                    for node, row in enumerate(self.table.cost, 1)
                 ]
-            tree = shortest_path_tree(self.table, src, self.radius, self._edges)
-        return tree
+            labels = _label_search(self.table, src, self.radius, self._edges)
+        return labels
 
     def path(self, src: int, dst: int) -> tuple[int, ...] | None:
-        tree = self._trees[src] = self.tree(src)
-        self.table.check_node(dst)
-        return tree[dst]
+        n = self.table.n
+        # one inline guard on both ids; a bool, another subclass of int or an
+        # id out of range takes the checked way
+        if not (type(src) is int and type(dst) is int and 0 < src <= n and 0 < dst <= n):
+            self.table.check_node(src)
+            self.table.check_node(dst)
+        paths = self._paths[src]
+        if paths is None:
+            self._labels[src] = self.labels(src)
+            paths = self._paths[src] = [_UNREAD] * (n + 1)
+        path = paths[dst]
+        if path is _UNREAD:
+            label = self._labels[src][dst]
+            path = paths[dst] = label and _path(label)
+        return path
 
 
 def brute_force_route(table: DistanceTable, query: RouteQuery) -> Route:
@@ -326,17 +392,18 @@ def tally_pairs(routes: Routes, pairs, mode: CountingMode) -> VisitStats:
 
 
 def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
-    """What tally_pairs reports for every ordered pair, folded over one tree per source.
+    """What tally_pairs reports for every ordered pair, folded over one search per source.
 
-    A route extends the route of its node before last, path[-2], by one
-    node, except where float rounding made it leave that route (see
-    _label_search); then its nodes back to the last one whose route it
-    does follow relay it without a route of their own there. Below v hang
-    size[v] reached nodes, v included, and v lies on the route to each of
-    them. So v transmits on size[v] - 1 routes; a v other than the source
-    also relays on size[v] - 1 and is the receiver of one more, which only
-    ALL_PATH_NODES counts. Sizes are summed child to parent, longest paths
-    first. A tree is dropped once it is tallied, unless `routes` keeps it.
+    A route extends its parent label's route by one node. That parent is
+    the settled label of its node, except where float rounding made the
+    route leave that node's route (a detour, see _label_search); then its
+    labels up to the first settled one are nodes that relay it without a
+    route of their own there. Below v hang size[v] reached nodes, v
+    included, and v lies on the route to each of them. So v transmits on
+    size[v] - 1 routes; a v other than the source also relays on size[v] - 1
+    and is the receiver of one more, which only ALL_PATH_NODES counts. Sizes
+    are summed child to parent, most hops first. A search's labels are
+    dropped once tallied, unless `routes` keeps them.
     """
     nodes = routes.table.nodes
     n = routes.table.n
@@ -345,21 +412,21 @@ def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
     receiver = 1 if mode is CountingMode.ALL_PATH_NODES else 0
     delivered = 0
     for src in nodes:
-        tree = routes.tree(src)
-        reached = [path for path in tree if path is not None]
-        reached.sort(key=len, reverse=True)
+        settled = routes.labels(src)
+        reached = [label for label in settled if label is not None]
+        reached.sort(key=_HOPS, reverse=True)
         size = [1] * (n + 1)
-        for path in reached[:-1]:  # every reached node but the source, children first
-            node = path[-1]
+        for label in reached[:-1]:  # every reached node but the source, children first
+            node = label[2]
             below = size[node]
             counts[node] += below - 1 + receiver
             relay_counts[node] += below - 1
-            up = len(path) - 2
-            while tree[path[up]] != path[:up + 1]:  # a detour: relays with no route here
-                counts[path[up]] += below
-                relay_counts[path[up]] += below
-                up -= 1
-            size[path[up]] += below
+            up = label[3]
+            while settled[up[2]] is not up:  # a detour: relays with no route here
+                counts[up[2]] += below
+                relay_counts[up[2]] += below
+                up = up[3]
+            size[up[2]] += below
         counts[src] += len(reached) - 1
         delivered += len(reached) - 1
     return VisitStats({node: counts[node] for node in nodes},

@@ -112,13 +112,13 @@ def test_simulate_stable_output_excludes_runtime(tmp_path):
 
 def test_simulate_builds_one_tree_per_source(monkeypatch):
     calls = []
-    original = routing.shortest_path_tree
+    original = routing._label_search
 
     def counted(table, src, radius, edges=None):
         calls.append(src)
         return original(table, src, radius, edges)
 
-    monkeypatch.setattr(routing, "shortest_path_tree", counted)
+    monkeypatch.setattr(routing, "_label_search", counted)
     topology = load_topology(TABLE1)
     run_experiment(topology, 5, 500, 123, CountingMode.TRANSMITTERS_ONLY, None)
     # the profile routes from every node, so every node is a source
@@ -138,6 +138,13 @@ def test_profile_top3(capsys):
     assert code == 0
     assert "top-3 visited (relay-attributable): 3, 5, 7" in out
     assert "node 3: visits=25 relay=16" in out
+
+
+@pytest.mark.parametrize("mode", [mode.value for mode in CountingMode])
+def test_profile_matches_golden_file(capsys, mode):
+    code, out, _ = run(capsys, "profile", "--topology", TABLE1, "--k", "5", "--mode", mode)
+    assert code == 0
+    assert out == (GOLDEN.parent / f"profile_table1_k5_{mode}.txt").read_text()
 
 
 def test_discover(tmp_path, capsys):

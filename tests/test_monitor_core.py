@@ -2,11 +2,13 @@
 
 The machine drives the core alone, as the service's shell would, through a
 fake transport and a virtual clock: no socket, thread or sleep is involved,
-and only the store's record stamps read the wall clock, which no invariant
-looks at. The store writes its log to a temporary directory, so a restart
-replays it, from whatever its column file has become. DEDUP_WINDOW and
-TICKET_RETENTION are made small, so that dedup windows and finished tickets
-are evicted within a run.
+and only the store's record stamps read the wall clock. The model cannot
+predict a stamp, so it keeps each record's first reading and checks that it
+never changes. The store writes its log to a temporary directory, so a
+restart replays it, from whatever its column file has become; the filtered
+queries and the snapshot read the loaded columns, so they check them too.
+DEDUP_WINDOW and TICKET_RETENTION are made small, so that dedup windows and
+finished tickets are evicted within a run.
 """
 
 import os
@@ -22,10 +24,12 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from homemesh import monitor, wire
 from homemesh.errors import InvalidInput, NoCoordinator
-from homemesh.monitor import TERMINAL_STATES, MonitorCore, TicketState
+from homemesh.monitor import TERMINAL_STATES, MonitorCore, RecordKind, TicketState
 
 TIMEOUT = 5.0
 PICK = st.integers(min_value=0, max_value=7)  # an index, taken modulo the choices
+NODES = (7, 9)  # the sensor nodes frames come from
+KINDS = {wire.MsgType.SENSOR_DATA: RecordKind.READING, wire.MsgType.HEARTBEAT: RecordKind.HEARTBEAT}
 
 
 class FakeTransport:
@@ -71,7 +75,9 @@ class CoreMachine(RuleBasedStateMachine):
         self.transports: list[FakeTransport] = []
         # the dedup rule: per coordinator, its last DEDUP_WINDOW stored (seq, payload) keys
         self.windows: dict[int, OrderedDict] = {}
-        self.stored: list[tuple[int, int, bytes]] = []  # (coordinator, seq, payload)
+        # (record_id, coordinator, src_node, seq, kind, payload) of each stored frame
+        self.stored: list[tuple[int, int, int, int, RecordKind, bytes]] = []
+        self.stamps: list[int] = []  # each stored record's received_at, as first read
         self.sent: list[Sent] = []
         self.column_files: list[bytes] = []  # the column file after each restart's close
         self.connect()
@@ -99,20 +105,20 @@ class CoreMachine(RuleBasedStateMachine):
         session = self.core.connect(transport)
         # a new session never shares an id, and so a dedup window, with a stored one
         assert session.id not in self.live
-        assert session.id > max((c for c, _, _ in self.stored), default=0)
+        assert session.id > max((stored[1] for stored in self.stored), default=0)
         self.live[session.id] = session
         self.transports.append(transport)
 
     @precondition(lambda self: self.live)
-    @rule(pick=PICK, kind=st.sampled_from([wire.MsgType.SENSOR_DATA, wire.MsgType.HEARTBEAT]),
+    @rule(pick=PICK, kind=st.sampled_from(sorted(KINDS)), node=st.sampled_from(NODES),
           seq=st.sampled_from([0, 1, 2, 0xFFFF]), payload=st.sampled_from([b"", b"a", b"b"]))
-    def send_frame(self, pick, kind, seq, payload):
+    def send_frame(self, pick, kind, node, seq, payload):
         session = list(self.live.values())[pick % len(self.live)]
-        reply = self.core.handle_datagram(session, wire.Datagram(kind, seq, 7, payload))
-        assert reply == wire.Datagram(wire.MsgType.ACK, seq, 7)
+        reply = self.core.handle_datagram(session, wire.Datagram(kind, seq, node, payload))
+        assert reply == wire.Datagram(wire.MsgType.ACK, seq, node)
         window = self.windows.setdefault(session.id, OrderedDict())
         if (seq, payload) not in window:
-            self.stored.append((session.id, seq, payload))
+            self.stored.append((len(self.stored) + 1, session.id, node, seq, KINDS[kind], payload))
             window[(seq, payload)] = None
             if len(window) > monitor.DEDUP_WINDOW:
                 window.popitem(last=False)
@@ -198,7 +204,26 @@ class CoreMachine(RuleBasedStateMachine):
     @invariant()
     def each_frame_is_stored_once_under_the_dedup_rule(self):
         records, _ = self.core.store.query()
-        assert [(r.coordinator_id, r.seq, r.payload) for r in records] == self.stored
+        assert [(r.record_id, r.coordinator_id, r.src_node, r.seq, r.kind, r.payload)
+                for r in records] == self.stored
+        self.stamps += [r.received_at for r in records[len(self.stamps):]]
+        assert [r.received_at for r in records] == self.stamps
+
+    @invariant()
+    def the_filters_and_the_snapshot_read_the_model(self):
+        store = self.core.store
+        for node in NODES:
+            assert [r.record_id for r in store.query(src_node=node)[0]] == \
+                [stored[0] for stored in self.stored if stored[2] == node]
+        for kind in RecordKind:
+            assert [r.record_id for r in store.query(kind=kind)[0]] == \
+                [stored[0] for stored in self.stored if stored[4] is kind]
+        # the store's own stamps increase, so each one picks out its record
+        for record_id, stamp in enumerate(self.stamps, 1):
+            assert [r.record_id for r in store.query(since=stamp, until=stamp)[0]] == [record_id]
+        latest = {(stored[1], stored[2]): stored for stored in self.stored}
+        assert {key: (r.record_id, r.coordinator_id, r.src_node, r.seq, r.kind, r.payload)
+                for key, r in store.snapshot().items()} == latest
 
     @invariant()
     def no_ticket_moves_backward(self):

@@ -454,6 +454,33 @@ def test_frozen_routes_on_planar_net():
     assert routes_digest(table, Routes(table, 18).path) == PLANAR60_K18_ROUTES
 
 
+# From 1, (1, 3, 4, 6) and (1, 2, 5, 6) both cost 6 over 3 hops. 4 settles
+# before 5, so the larger sequence is pushed first; the two differ last at
+# 4 < 5 but first at 2 < 3, and the first difference decides
+TIED_ROWS = [
+    [0, 1, 1, 9, 9, 9],
+    [1, 0, 9, 9, 2, 9],
+    [1, 9, 0, 1, 9, 9],
+    [9, 9, 1, 0, 9, 4],
+    [9, 2, 9, 9, 0, 3],
+    [9, 9, 9, 4, 3, 0],
+]
+
+
+def test_exact_tie_pushed_second_wins_on_node_sequence():
+    table = DistanceTable.from_rows(TIED_ROWS)
+    assert path_distance(table, (1, 3, 4, 6)) == path_distance(table, (1, 2, 5, 6)) == 6
+    assert path_distance(table, (1, 3, 4)) < path_distance(table, (1, 2, 5))
+    routes = Routes(table, 4)
+    for src in table.nodes:
+        tree = shortest_path_tree(table, src, 4)
+        for dst in table.nodes:
+            best = brute_force_route(table, RouteQuery(src, dst, 4))
+            assert as_tuple(find_optimal_path(table, RouteQuery(src, dst, 4))) == as_tuple(best)
+            assert tree[dst] == routes.path(src, dst) == best.path
+    assert routes.path(1, 6) == (1, 2, 5, 6)
+
+
 def test_tree_validation(table1):
     with pytest.raises(UnknownNode):
         shortest_path_tree(table1, 11, 5)
@@ -482,13 +509,13 @@ def test_routes_match_single_queries(table1, radius):
 
 def test_routes_build_one_tree_per_source(table1, monkeypatch):
     calls = []
-    original = routing.shortest_path_tree
+    original = routing._label_search
 
     def counted(table, src, radius, edges=None):
         calls.append(src)
         return original(table, src, radius, edges)
 
-    monkeypatch.setattr(routing, "shortest_path_tree", counted)
+    monkeypatch.setattr(routing, "_label_search", counted)
     routes = Routes(table1, 5)
     for _ in range(3):
         for src in table1.nodes:

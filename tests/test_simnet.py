@@ -666,15 +666,15 @@ def test_network_alarm_unknown_node(table1_topology):
 
 @pytest.fixture
 def tree_calls(monkeypatch):
-    """Record the source of every shortest_path_tree call."""
+    """Record the source of every tree search a Routes runs."""
     calls = []
-    original = routing.shortest_path_tree
+    original = routing._label_search
 
     def counted(table, src, radius, edges=None):
         calls.append(src)
         return original(table, src, radius, edges)
 
-    monkeypatch.setattr(routing, "shortest_path_tree", counted)
+    monkeypatch.setattr(routing, "_label_search", counted)
     return calls
 
 

@@ -151,9 +151,11 @@ class RecordStore:
     The column file is a cache: deleting it costs one full replay. A
     SensorRecord is built only when a method returns one. A frame is a
     duplicate, and is not stored again, when its coordinator stored the same
-    (seq, payload) among its last DEDUP_WINDOW stored frames; a coordinator's
-    window is built on the first append under its id. A store holds no lock:
-    use it from one thread (MonitorService uses its loop thread).
+    (seq, payload) among its last DEDUP_WINDOW stored frames. A coordinator's
+    window maps those keys to record indices; it is folded from the log on
+    the first append under its id and lives until `drop_window`, which
+    MonitorCore calls when the session ends. A store holds no lock: use it
+    from one thread (MonitorService uses its loop thread).
     """
 
     def __init__(self, path):
@@ -166,15 +168,15 @@ class RecordStore:
         self._coordinator = array("H")
         self._node = array("H")
         self._type = array("B")
-        self._latest: dict[tuple[int, int], int] = {}  # (coordinator, node) -> record index
-        # per coordinator: (seq, payload) -> the record append returned, or the
-        # index of a record from the log; oldest first
-        self._windows: dict[int, OrderedDict[tuple[int, bytes], SensorRecord | int]] = {}
+        # per coordinator: (seq, payload) -> record index, oldest first
+        self._windows: dict[int, OrderedDict[tuple[int, bytes], int]] = {}
         self._cols_covers: int | None = None  # log bytes the loaded column file describes
         if os.path.exists(self._path):
             with open(self._path, "rb") as fh:
                 self._log = bytearray(fh.read())
-        self._replay(*self._load_columns())
+        self._replay(self._load_columns())
+        # (coordinator, node) -> the index of its latest record
+        self._latest = dict(zip(zip(self._coordinator, self._node), range(len(self._node))))
         self._file = open(self._path, "ab")
         if self._file.tell() > len(self._log):
             self._file.truncate(len(self._log))
@@ -182,10 +184,10 @@ class RecordStore:
     def _columns(self) -> tuple[array, ...]:
         return self._offset, self._received_at, self._coordinator, self._node, self._type
 
-    def _load_columns(self) -> tuple[int, int]:
+    def _load_columns(self) -> int:
         """Load the columns of the log's first L bytes from the column file when
-        it describes exactly those bytes; returns (L, records loaded), (0, 0)
-        when the whole log is to be replayed."""
+        it describes exactly those bytes; returns L, 0 when the whole log is to
+        be replayed."""
         try:
             with open(self._cols_path, "rb") as fh:
                 data = fh.read()
@@ -212,24 +214,22 @@ class RecordStore:
             end = start + count * column.itemsize
             column.frombytes(body[start:end])
             start = end
-        self._latest = dict(zip(zip(self._coordinator, self._node), range(count)))
         self._cols_covers = length
         log.info("%s: %d records from the column file, replaying the %d log bytes past it",
                  self._path, count, len(self._log) - length)
-        return length, count
+        return length
 
-    def _full_replay(self, reason: str) -> tuple[int, int]:
+    def _full_replay(self, reason: str) -> int:
         log.info("%s: replaying the whole log, column file %s", self._path, reason)
-        return 0, 0
+        return 0
 
-    def _replay(self, offset: int, index: int) -> None:
-        """Check and index the log's records from byte offset on, the first of
-        them at record index; truncate the log at the first one torn or damaged."""
+    def _replay(self, offset: int) -> None:
+        """Check and index the log's records from byte offset on; truncate the
+        log at the first one torn or damaged."""
         blob = self._log
         add_offset, add_received_at = self._offset.append, self._received_at.append
         add_coordinator, add_node, add_type = \
             self._coordinator.append, self._node.append, self._type.append
-        latest = self._latest
         size = len(blob)
         while offset + RECORD_HEADER.size <= size:
             received_at, coordinator_id, length = RECORD_HEADER.unpack_from(blob, offset)
@@ -249,8 +249,6 @@ class RecordStore:
             add_coordinator(coordinator_id)
             add_node(src_node)
             add_type(msg_type)
-            latest[(coordinator_id, src_node)] = index
-            index += 1
             offset = end
         del blob[offset:]
 
@@ -296,10 +294,16 @@ class RecordStore:
                     window.popitem(last=False)
         return window
 
+    def drop_window(self, coordinator_id: int) -> None:
+        """Forget the coordinator's dedup window; an append under its id
+        would fold it from the log again."""
+        self._windows.pop(coordinator_id, None)
+
     def append(self, coordinator_id: int, d: wire.Datagram,
                received_at: int | None = None) -> tuple[SensorRecord, bool]:
         """Persist one datagram; returns (record, created). A duplicate returns
-        the existing record with created=False and writes nothing."""
+        the stored record, built again from the log, with created=False and
+        writes nothing."""
         raw = wire.encode_datagram(d)
         if d.msg_type not in _KIND_OF_TYPE:
             raise InvalidInput(f"a {wire.MsgType(d.msg_type).name} frame is not a record")
@@ -307,9 +311,8 @@ class RecordStore:
         window = self._window(coordinator_id)
         existing = window.get(key)
         if existing is not None:
-            if not isinstance(existing, SensorRecord):
-                [existing] = self._records([existing])
-            return existing, False
+            [record] = self._records([existing])
+            return record, False
         stamps = self._received_at
         if received_at is None:
             received_at = time.time_ns()
@@ -326,10 +329,10 @@ class RecordStore:
         self._node.append(d.src_node)
         self._type.append(d.msg_type)
         self._latest[(coordinator_id, d.src_node)] = index
-        [record] = self._records([index])
-        window[key] = record
+        window[key] = index
         if len(window) > DEDUP_WINDOW:
             window.popitem(last=False)
+        [record] = self._records([index])
         return record, True
 
     def query(self, src_node=None, kind=None, since=None, until=None,
@@ -451,6 +454,7 @@ class MonitorCore:
 
     def disconnect(self, session: _Session) -> None:
         del self._sessions[session.id]
+        self.store.drop_window(session.id)
         # no answer can reach these any more
         for ticket_id in session.pending.values():
             self._advance(ticket_id, TicketState.TIMED_OUT)

@@ -203,6 +203,10 @@ def load_topology(path) -> Topology:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path}: not UTF-8 at byte {exc.start}") from exc
+        except RecursionError:
+            raise InvalidInput(f"{path}: JSON nested too deeply") from None
     return parse_topology(doc)
 
 

@@ -231,18 +231,16 @@ def find_optimal_path(table: DistanceTable, query: RouteQuery) -> Route:
     return Route(_path(label), label[0], label[1])
 
 
-def shortest_path_tree(table: DistanceTable, src: int, radius: float,
-                       edges=None) -> list[tuple[int, ...] | None]:
+def shortest_path_tree(table: DistanceTable, src: int,
+                       radius: float) -> list[tuple[int, ...] | None]:
     """Every node's best route from `src`, indexed by node id.
 
     Entry v is the path find_optimal_path returns for (src, v, radius), or
-    None when v is unreachable; entry 0 is always None. `edges` is the
-    table's adjacency at this radius, as Routes builds it; without it the
-    search scans cost rows, with the same result.
+    None when v is unreachable; entry 0 is always None.
     """
     table.check_node(src)
     _check_radius(radius)
-    return [label and _path(label) for label in _label_search(table, src, radius, edges)]
+    return [label and _path(label) for label in _label_search(table, src, radius)]
 
 
 _UNREAD = object()  # a Routes path entry not yet read out of its labels

@@ -359,7 +359,7 @@ class SimNetwork:
         self.now = 0
         self.uplink_out: list[wire.Datagram] = []
         self._uplink_in: list[wire.Datagram] = []
-        self._alarms: list[tuple[int, bytes]] = []
+        self._alarms: list[RadioFrame] = []  # raised on the next tick
         self._in_flight: list[RadioFrame] = []  # sent this tick, delivered the next
         self.trace: list[tuple[int, str, int, int, str]] = []
         self.readings_emitted = 0
@@ -372,10 +372,14 @@ class SimNetwork:
         self._uplink_in.append(d)
 
     def inject_alarm(self, node_id: int, digits: str) -> None:
-        """Make a node raise a Contact-ID alarm on the next tick."""
+        """Make a node raise a Contact-ID alarm on the next tick; digits that
+        no radio frame can carry are refused here, before the tick."""
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
-        self._alarms.append((node_id, digits.encode("ascii")))
+        if not digits.isascii():
+            raise InvalidInput(f"alarm digits must be ASCII, got {digits!r}")
+        self._alarms.append(RadioFrame(src=node_id, dst=self.topology.coordinator,
+                                       kind=FrameKind.ALARM, payload=digits.encode("ascii")))
 
     def run_discovery(self, root: int | None = None) -> tuple[DistanceTable, int]:
         return run_discovery(self.topology,
@@ -425,10 +429,9 @@ class SimNetwork:
                 self._launch(frame)
 
         alarms, self._alarms = self._alarms, []
-        for node_id, payload in alarms:
-            self._log("alarm", node_id, self.topology.coordinator, payload.decode("ascii"))
-            self._launch(RadioFrame(src=node_id, dst=self.topology.coordinator,
-                                    kind=FrameKind.ALARM, payload=payload))
+        for frame in alarms:
+            self._log("alarm", frame.src, frame.dst, frame.payload.decode("ascii"))
+            self._launch(frame)
 
         for frame in arriving:
             self._deliver(frame)

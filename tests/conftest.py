@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from homemesh import routing
 from homemesh.netmodel import DistanceTable, load_topology
 
 # When a hypothesis test fails, the plugin imports this module to write its
@@ -30,6 +31,21 @@ def table1_topology():
 @pytest.fixture(scope="session")
 def table1(table1_topology):
     return table1_topology.table
+
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """Record the source of every label search, the one search behind every
+    route tree."""
+    calls = []
+    original = routing._label_search
+
+    def counted(table, src, *args, **kwargs):
+        calls.append(src)
+        return original(table, src, *args, **kwargs)
+
+    monkeypatch.setattr(routing, "_label_search", counted)
+    return calls
 
 
 def random_symmetric_table(rng: random.Random, n: int) -> DistanceTable:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from homemesh import monitor, routing, wire
+from homemesh import monitor, wire
 from homemesh.cli import main, run_experiment
 from homemesh.errors import InvalidInput
 from homemesh.monitor import serve
@@ -76,6 +76,19 @@ def test_missing_topology_file_is_io_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"coordinator": 1, "matrix": [[0]], "name": "\xff"}', "not UTF-8 at byte 45"),
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+], ids=["not-utf8", "over-nested"])
+def test_unreadable_topology_file_is_input_error(tmp_path, capsys, content, message):
+    path = tmp_path / "t.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "route", "--topology", str(path),
+                         "--from", "1", "--to", "2", "--k", "5")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_usage_error_exit_code(capsys):
     # simulate without --seed: randomness must be explicit
     code, _, _ = run(capsys, "simulate", "--topology", TABLE1, "--k", "5", "--n", "10")
@@ -110,19 +123,11 @@ def test_simulate_stable_output_excludes_runtime(tmp_path):
     assert first.stable_lines() == second.stable_lines()
 
 
-def test_simulate_builds_one_tree_per_source(monkeypatch):
-    calls = []
-    original = routing._label_search
-
-    def counted(table, src, radius, edges=None):
-        calls.append(src)
-        return original(table, src, radius, edges)
-
-    monkeypatch.setattr(routing, "_label_search", counted)
+def test_simulate_builds_one_tree_per_source(tree_calls):
     topology = load_topology(TABLE1)
     run_experiment(topology, 5, 500, 123, CountingMode.TRANSMITTERS_ONLY, None)
     # the profile routes from every node, so every node is a source
-    assert sorted(calls) == list(topology.nodes)
+    assert sorted(tree_calls) == list(topology.nodes)
 
 
 def test_simulate_rejects_tiny_topology_and_negative_transmissions():
@@ -159,6 +164,16 @@ def test_discover(tmp_path, capsys):
     lines = trace_path.read_text().splitlines()
     assert len(lines) == 10
     assert lines[0].split("\t")[1] == "discovery-request"
+
+
+@pytest.mark.parametrize("name", ["table1", "positions5"])
+def test_discover_trace_matches_golden_file(tmp_path, capsys, name):
+    trace_path = tmp_path / "trace.tsv"
+    code, _, _ = run(capsys, "discover", "--topology", str(TABLE1_PATH.parent / f"{name}.json"),
+                     "--trace", str(trace_path))
+    assert code == 0
+    assert trace_path.read_bytes() == \
+        (GOLDEN.parent / f"discover_{name}_trace.tsv").read_bytes()
 
 
 def test_cid_decode(capsys):

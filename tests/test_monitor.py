@@ -108,7 +108,7 @@ def test_store_deduplicates(tmp_path):
     first, created_first = store.append(1, d)
     second, created_second = store.append(1, d)
     assert created_first and not created_second
-    assert first is second
+    assert first == second
     assert len(store.query()[0]) == 1
     # same seq but different payload is a distinct record (wraparound tolerance)
     store.append(1, wire.Datagram(wire.MsgType.SENSOR_DATA, 7, 3, b"y"))
@@ -339,6 +339,27 @@ def test_store_warm_open_retains_under_100_bytes_per_record(tmp_path, caplog):
     assert warm <= 100 * count, f"{warm / count:.0f} B per record"
     # the column file's bytes (21 B per record), read whole, are not kept
     assert warm <= cold + 5 * count, f"{(warm - cold) / count:.0f} B per record beyond a replay"
+
+
+def test_store_live_window_retains_under_300_bytes_per_record(tmp_path):
+    # a live window maps each frame's key to a record index, not to a built record
+    store = RecordStore(tmp_path / "s.log")
+    count = 10_000
+    frames = [wire.Datagram(wire.MsgType.SENSOR_DATA, i & 0xFFFF, 2, i.to_bytes(4, "big"))
+              for i in range(count)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for d in frames:
+            store.append(1, d)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _, created = store.append(1, frames[0])
+    store.close()
+    assert not created
+    assert retained <= 300 * count, f"{retained / count:.0f} B per record"
 
 
 def close_three_heartbeats(path) -> bytes:

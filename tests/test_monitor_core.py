@@ -251,6 +251,7 @@ class CoreMachine(RuleBasedStateMachine):
         assert len(core._finished) <= monitor.TICKET_RETENTION
         assert len(core._tickets) <= monitor.TICKET_RETENTION + len(pending)
         assert all(deadline > self.now for deadline, *_ in core._deadlines)
+        assert core.store._windows.keys() <= self.live.keys()
 
 
 def test_core_state_machine(monkeypatch):
@@ -258,3 +259,19 @@ def test_core_state_machine(monkeypatch):
     monkeypatch.setattr(monitor, "TICKET_RETENTION", 1)
     run_state_machine_as_test(
         CoreMachine, settings=settings(max_examples=100, stateful_step_count=30, deadline=None))
+
+
+def test_a_session_takes_its_dedup_window_with_it(tmp_path):
+    core = MonitorCore(tmp_path / "store.log", command_timeout=TIMEOUT)
+    core.open()
+    try:
+        for _ in range(200):
+            session = core.connect(FakeTransport())
+            for seq in range(5):
+                core.handle_datagram(session, wire.Datagram(wire.MsgType.HEARTBEAT, seq, 7))
+            assert session.id in core.store._windows
+            core.disconnect(session)
+        assert core.store._windows == {}
+        assert len(core.store.query()[0]) == 1000
+    finally:
+        core.close()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from homemesh import routing
 from homemesh.errors import (
     InstanceTooLarge,
     InvalidInput,
@@ -507,21 +506,13 @@ def test_routes_match_single_queries(table1, radius):
             assert routes.path(src, dst) == expected
 
 
-def test_routes_build_one_tree_per_source(table1, monkeypatch):
-    calls = []
-    original = routing._label_search
-
-    def counted(table, src, radius, edges=None):
-        calls.append(src)
-        return original(table, src, radius, edges)
-
-    monkeypatch.setattr(routing, "_label_search", counted)
+def test_routes_build_one_tree_per_source(table1, tree_calls):
     routes = Routes(table1, 5)
     for _ in range(3):
         for src in table1.nodes:
             for dst in table1.nodes:
                 routes.path(src, dst)
-    assert calls == list(table1.nodes)
+    assert tree_calls == list(table1.nodes)
 
 
 @pytest.mark.parametrize("radius", [float("nan"), -1, -0.5])

@@ -661,21 +661,22 @@ def test_network_alarm_unknown_node(table1_topology):
         net.inject_alarm(99, "1234181131010158")
 
 
+@pytest.mark.parametrize("digits", ["1" * (simnet.MAX_FRAME_PAYLOAD + 1), "12341811310101é8"],
+                         ids=["too-long", "non-ascii"])
+def test_network_refuses_alarm_digits_no_frame_can_carry(table1_topology, digits):
+    net = SimNetwork(table1_topology, 5, sample_period=1)
+    net.run(1)
+    on_air = len(net._in_flight)
+    with pytest.raises(InvalidInput):
+        net.inject_alarm(7, digits)
+    # the refused alarm costs the frames already on the air nothing
+    start = len(net.trace)
+    net.step()
+    assert net.now == 2
+    assert len([event for event in net.trace[start:] if event[1] in ("deliver", "relay")]) == on_air
+
+
 # --- one label search per source ----------------------------------------------
-
-
-@pytest.fixture
-def tree_calls(monkeypatch):
-    """Record the source of every tree search a Routes runs."""
-    calls = []
-    original = routing._label_search
-
-    def counted(table, src, radius, edges=None):
-        calls.append(src)
-        return original(table, src, radius, edges)
-
-    monkeypatch.setattr(routing, "_label_search", counted)
-    return calls
 
 
 def test_profile_builds_one_tree_per_source(table1, tree_calls):

@@ -91,6 +91,15 @@ class SensorRecord:
     cid_error: str | None = None
 
 
+def _decode_alarm(payload: bytes) -> tuple[wire.CidEvent | None, str | None]:
+    """An alarm payload's Contact-ID event, or why it has none: a record's
+    `cid` and `cid_error`."""
+    try:
+        return wire.decode_cid(payload.decode("ascii")), None
+    except (wire.CidError, UnicodeDecodeError) as exc:
+        return None, str(exc)
+
+
 class TicketState(Enum):
     QUEUED = "queued"
     SENT = "sent"
@@ -149,7 +158,12 @@ class RecordStore:
     would. A torn tail from a crashed writer, or a damaged record (or a frame
     type the store never writes) and everything after it, is truncated away.
     The column file is a cache: deleting it costs one full replay. A
-    SensorRecord is built only when a method returns one. A frame is a
+    SensorRecord is built only when `query`, `snapshot` or `record` returns
+    one. `append` adds a record to the log's bytes in memory and writes
+    nothing; `flush()` writes every byte past the last flush to the file in
+    one write and returns once the OS holds them, so a record appended
+    before a `flush()` that returned survives a crash of the process (not a
+    power loss: nothing is fsynced). `close()` flushes too. A frame is a
     duplicate, and is not stored again, when its coordinator stored the same
     (seq, payload) among its last DEDUP_WINDOW stored frames. A coordinator's
     window maps those keys to record indices; it is folded from the log on
@@ -161,7 +175,7 @@ class RecordStore:
     def __init__(self, path):
         self._path = str(path)
         self._cols_path = self._path + ".cols"
-        self._log = bytearray()  # the log file's bytes
+        self._log = bytearray()  # the log's bytes; the file holds those flushed
         # one entry per record, at index record_id - 1
         self._offset = array("Q")
         self._received_at = array("Q")
@@ -177,9 +191,12 @@ class RecordStore:
         self._replay(self._load_columns())
         # (coordinator, node) -> the index of its latest record
         self._latest = dict(zip(zip(self._coordinator, self._node), range(len(self._node))))
-        self._file = open(self._path, "ab")
+        # unbuffered: each write hands its bytes to the OS
+        self._file = open(self._path, "ab", buffering=0)
         if self._file.tell() > len(self._log):
             self._file.truncate(len(self._log))
+        self._flushed = len(self._log)  # the log bytes the file holds
+        self._torn = False  # a failed flush may have left part of its bytes in the file
 
     def _columns(self) -> tuple[array, ...]:
         return self._offset, self._received_at, self._coordinator, self._node, self._type
@@ -267,13 +284,7 @@ class RecordStore:
                 unpack_headers(log, offset)
             payload = bytes(log[offset + headers_size:offset + headers_size + payload_len])
             kind = _KIND_OF_TYPE[msg_type]
-            cid = None
-            cid_error = None
-            if kind is alarm:
-                try:
-                    cid = wire.decode_cid(payload.decode("ascii"))
-                except (wire.CidError, UnicodeDecodeError) as exc:
-                    cid_error = str(exc)
+            cid, cid_error = _decode_alarm(payload) if kind is alarm else (None, None)
             record = new_record(SensorRecord)
             set_fields(record, "__dict__", {
                 "record_id": index + 1, "received_at": received_at,
@@ -281,6 +292,13 @@ class RecordStore:
                 "kind": kind, "payload": payload, "cid": cid, "cid_error": cid_error})
             records.append(record)
         return records
+
+    def record(self, record_id: int) -> SensorRecord:
+        """The record `append` stored under this id, built from the log."""
+        if not 1 <= record_id <= len(self._offset):
+            raise InvalidInput(f"no record {record_id!r}")
+        [record] = self._records([record_id - 1])
+        return record
 
     def _window(self, coordinator_id: int) -> OrderedDict:
         """The coordinator's dedup window; the first call folds its logged records."""
@@ -299,31 +317,37 @@ class RecordStore:
         would fold it from the log again."""
         self._windows.pop(coordinator_id, None)
 
-    def append(self, coordinator_id: int, d: wire.Datagram,
-               received_at: int | None = None) -> tuple[SensorRecord, bool]:
-        """Persist one datagram; returns (record, created). A duplicate returns
-        the stored record, built again from the log, with created=False and
-        writes nothing."""
-        raw = wire.encode_datagram(d)
+    def append(self, coordinator_id: int, d: wire.Datagram, received_at: int | None = None,
+               frame: bytes | None = None) -> tuple[int, bool]:
+        """Add one datagram to the log's bytes; returns (record_id, created).
+
+        `frame` is d's encoded bytes, as `wire.StreamDecoder` hands them out;
+        without it, d is encoded here. A duplicate returns the stored record's
+        id with created=False and adds nothing. The file gets the record at
+        the next `flush()`; `record(record_id)` builds it. An append that
+        raises leaves the store as it was.
+        """
+        if frame is None:
+            frame = wire.encode_datagram(d)
         if d.msg_type not in _KIND_OF_TYPE:
             raise InvalidInput(f"a {wire.MsgType(d.msg_type).name} frame is not a record")
-        key = (d.seq, d.payload)
-        window = self._window(coordinator_id)
-        existing = window.get(key)
-        if existing is not None:
-            [record] = self._records([existing])
-            return record, False
         stamps = self._received_at
         if received_at is None:
             received_at = time.time_ns()
             if stamps and received_at <= stamps[-1]:
                 received_at = stamps[-1] + 1
-        entry = RECORD_HEADER.pack(received_at, coordinator_id, len(raw)) + raw
-        self._file.write(entry)
-        self._file.flush()
+        # before any state changes: a coordinator id past 16 bits raises here
+        header = RECORD_HEADER.pack(received_at, coordinator_id, len(frame))
+        key = (d.seq, d.payload)
+        window = self._window(coordinator_id)
+        existing = window.get(key)
+        if existing is not None:
+            return existing + 1, False
+        log = self._log
         index = len(stamps)
-        self._offset.append(len(self._log))
-        self._log += entry
+        self._offset.append(len(log))
+        log += header
+        log += frame
         stamps.append(received_at)
         self._coordinator.append(coordinator_id)
         self._node.append(d.src_node)
@@ -332,8 +356,29 @@ class RecordStore:
         window[key] = index
         if len(window) > DEDUP_WINDOW:
             window.popitem(last=False)
-        [record] = self._records([index])
-        return record, True
+        return index + 1, True
+
+    def flush(self) -> None:
+        """Write the log's bytes past the last flush to the file in one write.
+
+        On return the OS holds every record appended so far. A flush that
+        raises OSError may have written part of its bytes; the next flush
+        cuts the file back to the last whole flush before it writes again.
+        """
+        if self._flushed == len(self._log):
+            return
+        try:
+            if self._torn:
+                self._file.truncate(self._flushed)
+                self._torn = False
+            # a copy: a view would pin the log's size for as long as anything held it
+            data = self._log[self._flushed:]
+            while data:  # a write may take only part, as os.write may
+                del data[:self._file.write(data)]
+        except OSError:
+            self._torn = True
+            raise
+        self._flushed = len(self._log)
 
     def query(self, src_node=None, kind=None, since=None, until=None,
               limit=None, cursor=None) -> tuple[list[SensorRecord], int | None]:
@@ -378,11 +423,15 @@ class RecordStore:
         return max(self._coordinator, default=0)
 
     def close(self) -> None:
-        """Close the log, then write the column file unless the one loaded at
-        open already describes the whole log; a second call does nothing."""
+        """Flush and close the log, then write the column file unless the one
+        loaded at open already describes the whole log; a second call does
+        nothing. A flush that raises closes the log and writes no column file."""
         if self._file.closed:
             return
-        self._file.close()
+        try:
+            self.flush()
+        finally:
+            self._file.close()
         if self._cols_covers != len(self._log):
             self._write_columns()
 
@@ -459,13 +508,17 @@ class MonitorCore:
         for ticket_id in session.pending.values():
             self._advance(ticket_id, TicketState.TIMED_OUT)
 
-    def handle_datagram(self, session: _Session, d: wire.Datagram) -> wire.Datagram | None:
-        """Ingest one decoded datagram; returns the reply to send, if any."""
+    def handle_datagram(self, session: _Session, d: wire.Datagram,
+                        frame: bytes | None = None) -> wire.Datagram | None:
+        """Ingest one decoded datagram, given its frame bytes when the caller
+        has them; returns the reply to send, if any. A stored record reaches
+        the file at the store's next `flush()`, which must come before the
+        reply is sent."""
         if d.msg_type in _KIND_OF_TYPE:
-            record, created = self.store.append(session.id, d)
+            _, created = self.store.append(session.id, d, frame=frame)
             if not created:
                 log.info("session %d: duplicate seq=%d ignored", session.id, d.seq)
-            if record.cid_error is not None:
+            if d.msg_type is wire.MsgType.ALARM_CID and _decode_alarm(d.payload)[1] is not None:
                 return wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)
             return wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node)
         if d.msg_type in _ANSWERS:
@@ -613,13 +666,22 @@ class MonitorService:
         decoder = wire.StreamDecoder()
         try:
             while data := await reader.read(READ_SIZE):
+                frames: list[bytes] = []
                 try:
-                    datagrams = decoder.feed(data)
+                    datagrams = decoder.feed(data, frames)
                 except wire.ProtocolError as exc:
                     log.warning("session %d: protocol error: %s", session.id, exc)
                     writer.transport.abort()
                     break
-                replies = [self.handle_datagram(session, d) for d in datagrams]
+                replies = [self.handle_datagram(session, d, frame)
+                           for d, frame in zip(datagrams, frames)]
+                # one write for the chunk's records, and only then their ACKs
+                try:
+                    self._core.store.flush()
+                except OSError as exc:
+                    log.error("session %d: cannot write the log: %s", session.id, exc)
+                    writer.transport.abort()
+                    break
                 writer.write(b"".join(wire.encode_datagram(r) for r in replies if r is not None))
                 # a peer that stops reading its replies stops being read
                 await writer.drain()
@@ -632,9 +694,10 @@ class MonitorService:
             writer.close()
             log.info("session %d closed", session.id)
 
-    def handle_datagram(self, session: _Session, d: wire.Datagram) -> wire.Datagram | None:
+    def handle_datagram(self, session: _Session, d: wire.Datagram,
+                        frame: bytes | None = None) -> wire.Datagram | None:
         """Ingest one decoded datagram; returns the reply to send, if any."""
-        return self._core.handle_datagram(session, d)
+        return self._core.handle_datagram(session, d, frame)
 
     # --- command tickets -----------------------------------------------------
 

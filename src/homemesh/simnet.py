@@ -79,6 +79,11 @@ class FrameKind(Enum):
     COMMAND = "command"
     ALARM = "alarm"
 
+    def __init__(self, value):
+        # the trace's `kind=` detail, formatted once: reading `.value` goes
+        # through a Python-level descriptor on every event
+        self.trace_detail = f"kind={value}"
+
 
 @dataclass(frozen=True)
 class RadioFrame:
@@ -394,7 +399,7 @@ class SimNetwork:
     def _send(self, frame: RadioFrame) -> None:
         """Put a routed frame on the air; it reaches route[1] next tick."""
         self._log("send", frame.src, frame.dst,
-                  f"kind={frame.kind.value} route={'-'.join(map(str, frame.route))}")
+                  f"{frame.kind.trace_detail} route={'-'.join(map(str, frame.route))}")
         self._in_flight.append(frame)
 
     def _launch(self, frame: RadioFrame) -> None:
@@ -402,7 +407,7 @@ class SimNetwork:
         path = self.routes.path(frame.src, frame.dst)
         if path is None:
             self.frames_dropped += 1
-            self._log("drop", frame.src, frame.dst, f"no-route kind={frame.kind.value}")
+            self._log("drop", frame.src, frame.dst, f"no-route {frame.kind.trace_detail}")
             return
         self._send(RadioFrame(frame.src, frame.dst, frame.kind, frame.payload, path, 1))
 
@@ -441,7 +446,7 @@ class SimNetwork:
     def _deliver(self, frame: RadioFrame) -> None:
         holder = frame.route[frame.hop_index]
         if holder == self.coordinator.node_id:
-            self._log("deliver", frame.src, holder, f"kind={frame.kind.value}")
+            self._log("deliver", frame.src, holder, frame.kind.trace_detail)
             up, _down = self.coordinator.step((frame,), ())  # frames alone send nothing down
             self._emit_uplink(up)
             return
@@ -449,7 +454,7 @@ class SimNetwork:
         self.nodes[holder] = state
         for out in frames:
             if out.route:
-                self._log("relay", holder, out.route[out.hop_index], f"kind={out.kind.value}")
+                self._log("relay", holder, out.route[out.hop_index], out.kind.trace_detail)
                 self._in_flight.append(out)
             else:  # a switch acknowledgment, the only frame a node answers with
                 self._log("switch", holder, out.dst, f"state={state.relay_switch.value}")

@@ -167,13 +167,15 @@ class StreamDecoder:
     feed() returns every complete datagram buffered so far and raises the
     usual decode errors as soon as a malformed header or body is visible.
     The frames before a malformed one are consumed, and the malformed one
-    stays buffered.
+    stays buffered. Given a list `frames`, feed() also appends to it each
+    returned datagram's checked frame bytes, in the same order: they equal
+    `encode_datagram` of that datagram, without encoding it again.
     """
 
     def __init__(self):
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> list[Datagram]:
+    def feed(self, data: bytes, frames: list[bytes] | None = None) -> list[Datagram]:
         buf = self._buf
         buf.extend(data)
         out = []
@@ -186,6 +188,8 @@ class StreamDecoder:
                 kind, seq, src_node, end = checked
                 payload = bytes(buf[start + HEADER.size:end - CRC.size])
                 out.append(Datagram(kind, seq, src_node, payload))
+                if frames is not None:
+                    frames.append(bytes(buf[start:end]))
                 start = end
         finally:
             del buf[:start]

@@ -1,4 +1,9 @@
+import os
 import random
+import re
+import select
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -46,6 +51,36 @@ def tree_calls(monkeypatch):
 
     monkeypatch.setattr(routing, "_label_search", counted)
     return calls
+
+
+@pytest.fixture
+def serve_process():
+    """Start `homemesh serve` on ephemeral ports over a store path:
+    `start(store)` returns (process, listen address, admin address). Any
+    process still running at teardown is killed."""
+    procs = []
+
+    def start(store):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block-buffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
+             "--admin", "127.0.0.1:0", "--store", str(store)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        procs.append(proc)
+        assert select.select([proc.stdout], [], [], 30)[0], "serve printed no address"
+        line = proc.stdout.readline().decode()
+        match = re.fullmatch(r"listening on ([\d.]+):(\d+), admin on ([\d.]+):(\d+)\n", line)
+        assert match, line
+        host, port, admin_host, admin_port = match.groups()
+        return proc, (host, int(port)), (admin_host, int(admin_port))
+
+    yield start
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 def random_symmetric_table(rng: random.Random, n: int) -> DistanceTable:

@@ -2,12 +2,12 @@ import csv
 import json
 import logging
 import os
-import re
 import select
 import signal
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -302,74 +302,74 @@ def test_ports_outside_0_to_65535_are_usage_errors(capsys, argv):
     assert "expected a port in 0-65535" in err
 
 
-def test_serve_process_ingests_answers_and_exits_on_sigint(tmp_path, capsys):
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block-buffered
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
-         "--admin", "127.0.0.1:0", "--store", str(tmp_path / "store.log")],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
-    try:
-        assert select.select([proc.stdout], [], [], 30)[0], "serve printed no address"
-        line = proc.stdout.readline().decode()
-        match = re.fullmatch(r"listening on ([\d.]+):(\d+), admin on ([\d.]+):(\d+)\n", line)
-        assert match, line
-        host, port, admin_host, admin_port = match.groups()
-        with socket.create_connection((host, int(port)), timeout=5) as sock:
-            sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 3, 1)))
-            decoder = wire.StreamDecoder()
-            replies = []
-            while not replies:
-                data = sock.recv(4096)
-                assert data, "serve closed the session"
-                replies = decoder.feed(data)
-        assert [(d.msg_type, d.seq) for d in replies] == [(wire.MsgType.ACK, 3)]
-        code, out, _ = run(capsys, "query", "--admin", f"{admin_host}:{admin_port}")
-        assert code == 0
-        (record,) = map(json.loads, out.splitlines())
-        assert (record["kind"], record["seq"], record["node"]) == ("heartbeat", 3, 1)
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=10) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
+def read_datagrams(sock, decoder, count, timeout=10.0):
+    """The next count datagrams the peer sends, each read waited for with select."""
+    got = []
+    deadline = time.monotonic() + timeout
+    while len(got) < count:
+        ready = select.select([sock], [], [], max(0.0, deadline - time.monotonic()))[0]
+        assert ready, f"{len(got)} of {count} datagrams came"
+        data = sock.recv(65536)
+        assert data, "serve closed the session"
+        got.extend(decoder.feed(data))
+    return got
 
 
-def test_serve_process_stops_cleanly_on_sigterm(tmp_path, caplog):
+def test_serve_process_ingests_answers_and_exits_on_sigint(tmp_path, capsys, serve_process):
+    proc, address, (admin_host, admin_port) = serve_process(tmp_path / "store.log")
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 3, 1)))
+        replies = read_datagrams(sock, wire.StreamDecoder(), 1)
+    assert [(d.msg_type, d.seq) for d in replies] == [(wire.MsgType.ACK, 3)]
+    code, out, _ = run(capsys, "query", "--admin", f"{admin_host}:{admin_port}")
+    assert code == 0
+    (record,) = map(json.loads, out.splitlines())
+    assert (record["kind"], record["seq"], record["node"]) == ("heartbeat", 3, 1)
+    proc.send_signal(signal.SIGINT)
+    assert proc.wait(timeout=10) == 0
+
+
+def test_serve_process_stops_cleanly_on_sigterm(tmp_path, caplog, serve_process):
     store = tmp_path / "store.log"
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
-         "--admin", "127.0.0.1:0", "--store", str(store)],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
-    try:
-        assert select.select([proc.stdout], [], [], 30)[0], "serve printed no address"
-        match = re.fullmatch(r"listening on ([\d.]+):(\d+), admin on .*\n",
-                             proc.stdout.readline().decode())
-        assert match
-        with socket.create_connection((match[1], int(match[2])), timeout=5) as sock:
-            sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 3, 1)))
-            decoder = wire.StreamDecoder()
-            replies = []
-            while not replies:
-                data = sock.recv(4096)
-                assert data, "serve closed the session"
-                replies = decoder.feed(data)
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
+    proc, address, _ = serve_process(store)
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 3, 1)))
+        read_datagrams(sock, wire.StreamDecoder(), 1)
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=10) == 0
     # stop() closed the store, which wrote the column file
     with caplog.at_level(logging.INFO, logger="homemesh.monitor"):
         reopened = monitor.RecordStore(store)
     assert "1 records from the column file" in caplog.text
     assert [r.seq for r in reopened.query()[0]] == [3]
     reopened.close()
+
+
+def test_serve_process_keeps_every_acked_frame_through_sigkill(tmp_path, serve_process):
+    # a chunk's ACKs leave only once its records are written: the OS holds
+    # them, so a killed process loses none (no fsync: a power loss could)
+    store = tmp_path / "store.log"
+    proc, address, _ = serve_process(store)
+    chunks = [[wire.Datagram(wire.MsgType.SENSOR_DATA, 60 * c + i, 2 + i % 5, bytes([c, i]))
+               for i in range(60)] for c in range(5)]
+    chunks[2].insert(40, chunks[2][7])  # a retransmit inside one chunk: ACKed, stored once
+    acked = []
+    with socket.create_connection(address, timeout=5) as sock:
+        decoder = wire.StreamDecoder()
+        for chunk in chunks:
+            sock.sendall(b"".join(map(wire.encode_datagram, chunk)))
+            replies = read_datagrams(sock, decoder, len(chunk))
+            assert [(r.msg_type, r.seq) for r in replies] == \
+                [(wire.MsgType.ACK, d.seq) for d in chunk]
+            acked += chunk
+        proc.kill()
+        assert proc.wait(timeout=10) == -signal.SIGKILL
+    assert not os.path.exists(f"{store}.cols")  # no clean stop wrote one
+    reopened = monitor.RecordStore(store)
+    stored = [(r.seq, r.src_node, r.payload) for r in reopened.query()[0]]
+    reopened.close()
+    assert stored == list(dict.fromkeys((d.seq, d.src_node, d.payload) for d in acked))
+    assert len(stored) == 300
 
 
 # --- demo ---------------------------------------------------------------------------

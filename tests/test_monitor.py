@@ -1,10 +1,13 @@
+import asyncio
 import dataclasses
+import errno
 import gc
 import json
 import logging
 import os
 import random
 import socket
+import struct
 import tempfile
 import threading
 import time
@@ -92,8 +95,9 @@ def wait_for(predicate, timeout=5.0):
 
 def test_store_append_and_query(tmp_path):
     store = RecordStore(tmp_path / "s.log")
-    record, created = store.append(1, wire.Datagram(wire.MsgType.SENSOR_DATA, 7, 3, b"x"))
+    record_id, created = store.append(1, wire.Datagram(wire.MsgType.SENSOR_DATA, 7, 3, b"x"))
     assert created
+    record = store.record(record_id)
     assert record.kind is RecordKind.READING
     assert record.src_node == 3
     records, cursor = store.query()
@@ -201,7 +205,7 @@ def test_store_received_at_increases_when_the_clock_stalls(tmp_path, monkeypatch
     first, _ = store.append(1, wire.Datagram(wire.MsgType.SENSOR_DATA, 1, 3, b"a"))
     second, _ = store.append(1, wire.Datagram(wire.MsgType.SENSOR_DATA, 2, 3, b"b"))
     store.close()
-    assert (first.received_at, second.received_at) == (1_000, 1_001)
+    assert (store.record(first).received_at, store.record(second).received_at) == (1_000, 1_001)
 
 
 def test_store_dedup_window_survives_seq_wrap(tmp_path):
@@ -282,6 +286,58 @@ def test_store_refuses_a_frame_that_is_not_a_record(tmp_path):
         store.append(1, wire.Datagram(wire.MsgType.ACK, 1, 1))
     store.close()
     assert path.stat().st_size == 0
+
+
+def store_state(store):
+    return (bytes(store._log), [bytes(column) for column in store._columns()],
+            dict(store._latest), {key: dict(window) for key, window in store._windows.items()})
+
+
+@pytest.mark.parametrize("coordinator, d, error", [
+    (65_536, wire.Datagram(wire.MsgType.HEARTBEAT, 9, 1), struct.error),
+    (1, wire.Datagram(wire.MsgType.NACK, 9, 1), InvalidInput),
+], ids=["coordinator-past-16-bits", "not-a-record"])
+def test_store_append_that_raises_changes_nothing(tmp_path, coordinator, d, error):
+    store = RecordStore(tmp_path / "s.log")
+    store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+    before = store_state(store)
+    with pytest.raises(error):
+        store.append(coordinator, d)
+    assert store_state(store) == before
+    store.close()
+
+
+class CountingFile:
+    """A log file that records the size of each write."""
+
+    def __init__(self, file):
+        self.file = file
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(len(data))
+        return self.file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+
+def test_store_writes_appended_records_at_flush_in_one_write(tmp_path):
+    path = tmp_path / "s.log"
+    store = RecordStore(path)
+    store._file = CountingFile(store._file)
+    for seq in range(3):
+        store.append(1, wire.Datagram(wire.MsgType.SENSOR_DATA, seq, 2, bytes([seq])))
+    assert path.stat().st_size == 0
+    store.flush()
+    assert path.read_bytes() == store._log
+    assert store._file.writes == [len(store._log)]
+    store.flush()  # nothing new to write
+    store.append(1, wire.Datagram(wire.MsgType.HEARTBEAT, 3, 2))
+    assert store._file.writes == [len(path.read_bytes())]
+    store.close()
+    assert path.read_bytes() == store._log
+    assert len(store._file.writes) == 2
 
 
 def write_mixed_log(path, count):
@@ -697,6 +753,86 @@ def test_unknown_opcode_is_invalid_input_and_leaves_no_ticket(service):
     (session,) = service._core._sessions.values()
     assert session.pending == {}
     client.close()
+
+
+def test_a_chunk_is_flushed_before_its_replies_are_written(service, monkeypatch):
+    store = service._core.store
+    events = []
+    flush, write = RecordStore.flush, asyncio.StreamWriter.write
+
+    def recording_flush(self):
+        flush(self)
+        events.append("flush")
+
+    def recording_write(self, data):
+        # whether the file holds every record when the replies leave
+        events.append(("write", os.path.getsize(store._path) == len(store._log)))
+        write(self, data)
+
+    monkeypatch.setattr(RecordStore, "flush", recording_flush)
+    monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+    client = Client(service)
+    frames = [wire.Datagram(wire.MsgType.SENSOR_DATA, seq, 3, b"c") for seq in (1, 2, 1)]
+    client.send_raw(b"".join(map(wire.encode_datagram, frames)))
+    assert [(r.msg_type, r.seq) for r in client.recv(count=3)] == \
+        [(wire.MsgType.ACK, seq) for seq in (1, 2, 1)]
+    assert events and events == ["flush", ("write", True)] * (len(events) // 2)
+    assert [r.seq for r in service.query_history()[0]] == [1, 2]
+    client.close()
+
+
+class FullDiskFile:
+    """A log file whose writes take a few bytes, then fail as a full disk does."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def write(self, data):
+        self.file.write(bytes(data[:5]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+
+def test_a_failed_flush_sends_none_of_its_chunks_replies(tmp_path, caplog):
+    path = tmp_path / "store.log"
+    handle = serve(listen=("127.0.0.1", 0), admin=("127.0.0.1", 0), store_path=path)
+    try:
+        first = Client(handle)
+        first.send(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1))
+        first.recv()
+        store = handle._core.store
+        flushed = path.read_bytes()
+        real = store._file
+        handle._on_loop(setattr, store, "_file", FullDiskFile(real))
+        with caplog.at_level(logging.ERROR, logger="homemesh.monitor"):
+            first.send_raw(b"".join(wire.encode_datagram(wire.Datagram(
+                wire.MsgType.HEARTBEAT, seq, 1)) for seq in (1, 2, 3)))
+            assert first.closed_by_peer()  # with no reply before the close
+        assert "cannot write the log" in caplog.text
+        # a crash now leaves the first record and part of the next: replay cuts that part
+        crashed = tmp_path / "crashed.log"
+        crashed.write_bytes(path.read_bytes())
+        assert crashed.read_bytes() == flushed + bytes(store._log[len(flushed):len(flushed) + 5])
+        image = RecordStore(crashed)
+        assert [r.seq for r in image.query()[0]] == [0]
+        image.close()
+        # with room again, the next flush cuts the partial write, then writes the rest
+        handle._on_loop(setattr, store, "_file", real)
+        second = Client(handle)
+        second.send(wire.Datagram(wire.MsgType.HEARTBEAT, 4, 1))
+        assert [r.msg_type for r in second.recv()] == [wire.MsgType.ACK]
+        assert path.read_bytes() == handle._on_loop(bytes, store._log)
+        held = handle.query_history()[0]
+        assert (held[0].seq, held[-1].seq) == (0, 4)
+        first.close()
+        second.close()
+    finally:
+        handle.stop()
+    reopened = RecordStore(path)
+    assert reopened.query()[0] == held
+    reopened.close()
 
 
 def test_frames_and_admin_commands_go_through_the_service_methods(service, monkeypatch):
@@ -1207,10 +1343,10 @@ def test_store_query_matches_naive_filter(specs, query):
         records = []
         for seq, (coordinator, node, msg_type, received_at) in enumerate(specs):
             payload = VALID_CID if msg_type is wire.MsgType.ALARM_CID else bytes([seq])
-            record, created = store.append(
+            record_id, created = store.append(
                 coordinator, wire.Datagram(msg_type, seq, node, payload), received_at=received_at)
             assert created
-            records.append(record)
+            records.append(store.record(record_id))
         assert [r.record_id for r in records] == list(range(1, len(records) + 1))
 
         assert store.query(**query) == naive_query(records, **query)
@@ -1240,9 +1376,9 @@ def test_store_query_after_reopen_matches_naive_filter(specs, query):
         records = []
         for seq, (coordinator, node, msg_type, received_at) in enumerate(specs):
             payload = VALID_CID if msg_type is wire.MsgType.ALARM_CID else bytes([seq])
-            record, _ = store.append(
+            record_id, _ = store.append(
                 coordinator, wire.Datagram(msg_type, seq, node, payload), received_at=received_at)
-            records.append(record)
+            records.append(store.record(record_id))
         store.close()
         reopened = RecordStore(path)
         assert reopened.query(**query) == naive_query(records, **query)
@@ -1322,9 +1458,9 @@ def test_store_replay_matches_a_reference_replay(frames, split, damage, position
             store = RecordStore(path)
             for coordinator, msg_type, seq, node, payload in batch:
                 d = wire.Datagram(msg_type, seq, node, payload)
-                record, created = store.append(coordinator, d)
+                record_id, created = store.append(coordinator, d)
                 if created:
-                    stored.append(record)
+                    stored.append(store.record(record_id))
             store.close()
             with open(cols_path, "rb") as fh:
                 closes.append((os.path.getsize(path), fh.read()))

@@ -30,6 +30,9 @@ TIMEOUT = 5.0
 PICK = st.integers(min_value=0, max_value=7)  # an index, taken modulo the choices
 NODES = (7, 9)  # the sensor nodes frames come from
 KINDS = {wire.MsgType.SENSOR_DATA: RecordKind.READING, wire.MsgType.HEARTBEAT: RecordKind.HEARTBEAT}
+SEQS = st.sampled_from([0, 1, 2, 0xFFFF])
+PAYLOADS = st.sampled_from([b"", b"a", b"b"])
+FRAMES = st.tuples(st.sampled_from(sorted(KINDS)), st.sampled_from(NODES), SEQS, PAYLOADS)
 
 
 class FakeTransport:
@@ -109,19 +112,41 @@ class CoreMachine(RuleBasedStateMachine):
         self.live[session.id] = session
         self.transports.append(transport)
 
-    @precondition(lambda self: self.live)
-    @rule(pick=PICK, kind=st.sampled_from(sorted(KINDS)), node=st.sampled_from(NODES),
-          seq=st.sampled_from([0, 1, 2, 0xFFFF]), payload=st.sampled_from([b"", b"a", b"b"]))
-    def send_frame(self, pick, kind, node, seq, payload):
-        session = list(self.live.values())[pick % len(self.live)]
-        reply = self.core.handle_datagram(session, wire.Datagram(kind, seq, node, payload))
-        assert reply == wire.Datagram(wire.MsgType.ACK, seq, node)
+    def _stored(self, session, d):
+        """The dedup rule applied to one frame the core ACKed."""
         window = self.windows.setdefault(session.id, OrderedDict())
-        if (seq, payload) not in window:
-            self.stored.append((len(self.stored) + 1, session.id, node, seq, KINDS[kind], payload))
-            window[(seq, payload)] = None
+        if (d.seq, d.payload) not in window:
+            self.stored.append(
+                (len(self.stored) + 1, session.id, d.src_node, d.seq, KINDS[d.msg_type], d.payload))
+            window[(d.seq, d.payload)] = None
             if len(window) > monitor.DEDUP_WINDOW:
                 window.popitem(last=False)
+
+    @precondition(lambda self: self.live)
+    @rule(pick=PICK, kind=st.sampled_from(sorted(KINDS)), node=st.sampled_from(NODES),
+          seq=SEQS, payload=PAYLOADS)
+    def send_frame(self, pick, kind, node, seq, payload):
+        session = list(self.live.values())[pick % len(self.live)]
+        d = wire.Datagram(kind, seq, node, payload)
+        reply = self.core.handle_datagram(session, d)
+        self.core.store.flush()
+        assert reply == wire.Datagram(wire.MsgType.ACK, seq, node)
+        self._stored(session, d)
+
+    @precondition(lambda self: self.live)
+    @rule(pick=PICK, frames=st.lists(FRAMES, min_size=1, max_size=4), repeat=PICK)
+    def send_chunk(self, pick, frames, repeat):
+        # as the shell handles one read: every frame with its bytes, then one flush
+        session = list(self.live.values())[pick % len(self.live)]
+        chunk = [wire.Datagram(kind, seq, node, payload) for kind, node, seq, payload in frames]
+        chunk.append(chunk[repeat % len(chunk)])  # a retransmit inside the chunk
+        raw: list[bytes] = []
+        datagrams = wire.StreamDecoder().feed(b"".join(map(wire.encode_datagram, chunk)), raw)
+        replies = [self.core.handle_datagram(session, d, frame) for d, frame in zip(datagrams, raw)]
+        self.core.store.flush()
+        assert replies == [wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node) for d in chunk]
+        for d in chunk:
+            self._stored(session, d)
 
     @precondition(lambda self: self.live)
     @rule(pick=PICK, linger=st.booleans())
@@ -224,6 +249,12 @@ class CoreMachine(RuleBasedStateMachine):
         latest = {(stored[1], stored[2]): stored for stored in self.stored}
         assert {key: (r.record_id, r.coordinator_id, r.src_node, r.seq, r.kind, r.payload)
                 for key, r in store.snapshot().items()} == latest
+
+    @invariant()
+    def the_log_file_holds_the_store_log(self):
+        # every rule that stores frames ends with a flush, as each chunk does
+        with open(self.path, "rb") as fh:
+            assert fh.read() == self.core.store._log
 
     @invariant()
     def no_ticket_moves_backward(self):

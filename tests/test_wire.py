@@ -219,6 +219,24 @@ def test_stream_agrees_with_decode_datagram(frames, data):
     assert decoder.pending == fed - starts[bad]
 
 
+@given(st.lists(datagrams, max_size=6), st.data())
+@settings(max_examples=100)
+def test_stream_hands_out_each_datagrams_encoded_bytes(frames, data):
+    # the store logs these bytes as they are, so they must be what it would encode
+    blob = b"".join(wire.encode_datagram(d) for d in frames)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=8)))
+    plain, handing = wire.StreamDecoder(), wire.StreamDecoder()
+    remaining = list(frames)
+    for _, piece in _pieces(blob, cuts):
+        raw: list[bytes] = []
+        out = handing.feed(piece, raw)
+        assert out == plain.feed(piece) == remaining[:len(out)]
+        del remaining[:len(out)]
+        assert raw == [wire.encode_datagram(d) for d in out]
+        assert all(type(frame) is bytes for frame in raw)
+    assert remaining == [] and handing.pending == 0
+
+
 # --- command payloads ------------------------------------------------------------
 
 

@@ -276,7 +276,7 @@ class RecordStore:
         alarm = RecordKind.ALARM
         # a frozen dataclass's __init__ sets its nine fields one call at a time,
         # about half the cost of a record here; each record gets them at once
-        new_record, set_fields = object.__new__, object.__setattr__
+        build = wire._build
         records = []
         for index in indices:
             offset = offsets[index]
@@ -285,12 +285,10 @@ class RecordStore:
             payload = bytes(log[offset + headers_size:offset + headers_size + payload_len])
             kind = _KIND_OF_TYPE[msg_type]
             cid, cid_error = _decode_alarm(payload) if kind is alarm else (None, None)
-            record = new_record(SensorRecord)
-            set_fields(record, "__dict__", {
+            records.append(build(SensorRecord, {
                 "record_id": index + 1, "received_at": received_at,
                 "coordinator_id": coordinator_id, "src_node": src_node, "seq": seq,
-                "kind": kind, "payload": payload, "cid": cid, "cid_error": cid_error})
-            records.append(record)
+                "kind": kind, "payload": payload, "cid": cid, "cid_error": cid_error}))
         return records
 
     def record(self, record_id: int) -> SensorRecord:
@@ -458,6 +456,12 @@ class RecordStore:
                 os.remove(tmp)
 
 
+def _reply(msg_type: wire.MsgType, d: wire.Datagram) -> wire.Datagram:
+    """The ACK or NACK answering d: its seq and src_node, no payload."""
+    return wire._build(wire.Datagram, {"msg_type": msg_type, "seq": d.seq,
+                                       "src_node": d.src_node, "payload": b""})
+
+
 class _Session:
     """One connected coordinator; its transport has write() and is_closing()."""
 
@@ -519,8 +523,8 @@ class MonitorCore:
             if not created:
                 log.info("session %d: duplicate seq=%d ignored", session.id, d.seq)
             if d.msg_type is wire.MsgType.ALARM_CID and _decode_alarm(d.payload)[1] is not None:
-                return wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)
-            return wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node)
+                return _reply(wire.MsgType.NACK, d)
+            return _reply(wire.MsgType.ACK, d)
         if d.msg_type in _ANSWERS:
             ticket_id = session.pending.pop(d.seq, None)
             if ticket_id is None:
@@ -530,9 +534,9 @@ class MonitorCore:
             return None
         if d.msg_type is wire.MsgType.DISCOVERY_REPORT:
             log.info("session %d: discovery report, %d bytes", session.id, len(d.payload))
-            return wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node)
+            return _reply(wire.MsgType.ACK, d)
         log.warning("session %d: unexpected %s", session.id, d.msg_type.name)
-        return wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)
+        return _reply(wire.MsgType.NACK, d)
 
     def dispatch(self, target_node: int, opcode: wire.SwitchOpcode, now: float) -> CommandTicket:
         """COMMAND the newest session not closing; time it out at now + command_timeout."""

@@ -17,10 +17,12 @@ from . import wire
 from .errors import InvalidInput, MisroutedFrame, UnknownNode
 from .netmodel import DistanceTable, Topology
 from .routing import CountingMode, Routes, VisitStats, tally_pairs
+from .wire import _build
 
 MAX_FRAME_PAYLOAD = 96  # small-frame discipline for the radio side
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -42,11 +44,15 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = state = (self._state + _GOLDEN) & _MASK64
+        return _mix64(state)
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output function of an advanced state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def draw_pair(rng: SplitMix64, n: int) -> tuple[int, int]:
@@ -70,8 +76,20 @@ def draw_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
 
 def synthetic_reading(node_id: int, tick: int, seed: int = 0) -> int:
     """Deterministic stand-in sensor sample: a 16-bit value of (id, tick, seed)."""
-    mixed = (seed ^ (node_id * 0x9E3779B97F4A7C15) ^ (tick * 0xBF58476D1CE4E5B9)) & _MASK64
-    return SplitMix64(mixed).next_u64() & 0xFFFF
+    mixed = (seed ^ (node_id * _GOLDEN) ^ (tick * 0xBF58476D1CE4E5B9)) & _MASK64
+    # the first draw of SplitMix64(mixed)
+    return _mix64((mixed + _GOLDEN) & _MASK64) & 0xFFFF
+
+
+def _check_frame(frame: RadioFrame) -> None:
+    """Every RadioFrame's checks: the payload fits a radio frame, and
+    hop_index points into the route (or just past it)."""
+    if len(frame.payload) > MAX_FRAME_PAYLOAD:
+        raise InvalidInput(
+            f"radio payload of {len(frame.payload)} bytes exceeds {MAX_FRAME_PAYLOAD}"
+        )
+    if not 0 <= frame.hop_index <= len(frame.route):
+        raise InvalidInput(f"hop_index {frame.hop_index} outside route {frame.route}")
 
 
 class FrameKind(Enum):
@@ -100,13 +118,8 @@ class RadioFrame:
     route: tuple[int, ...] = ()
     hop_index: int = 0
 
-    def __post_init__(self):
-        if len(self.payload) > MAX_FRAME_PAYLOAD:
-            raise InvalidInput(
-                f"radio payload of {len(self.payload)} bytes exceeds {MAX_FRAME_PAYLOAD}"
-            )
-        if not 0 <= self.hop_index <= len(self.route):
-            raise InvalidInput(f"hop_index {self.hop_index} outside route {self.route}")
+    # run by the generated __init__ and by wire._build alike
+    __post_init__ = _check_frame
 
     @property
     def at_destination(self) -> bool:
@@ -166,14 +179,12 @@ def node_tick(state: NodeState, now: int) -> tuple[NodeState, list[RadioFrame]]:
     next_wake = state.next_wake + state.sample_period
     if next_wake <= now:  # catch up after missed wakes
         next_wake = now + state.sample_period
-    new_state = NodeState(state.id, state.sample_period, next_wake, state.relay_switch,
-                          reading, state.coordinator, state.seed)
-    frame = RadioFrame(
-        src=state.id,
-        dst=state.coordinator,
-        kind=FrameKind.SENSOR_READING,
-        payload=READING_PAYLOAD.pack(now, reading),
-    )
+    new_state = _build(NodeState, {**state.__dict__, "next_wake": next_wake,
+                                   "last_reading": reading})
+    frame = _build(RadioFrame, {"src": state.id, "dst": state.coordinator,
+                                "kind": FrameKind.SENSOR_READING,
+                                "payload": READING_PAYLOAD.pack(now, reading),
+                                "route": (), "hop_index": 0})
     return new_state, [frame]
 
 
@@ -192,8 +203,7 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
             f"node {state.id} received frame out of turn (hop {frame.hop_index} of {list(route)})"
         )
     if not frame.at_destination:
-        return state, [RadioFrame(frame.src, frame.dst, frame.kind, frame.payload,
-                                  route, frame.hop_index + 1)]
+        return state, [_build(RadioFrame, {**frame.__dict__, "hop_index": frame.hop_index + 1})]
     if frame.kind is FrameKind.COMMAND:
         _target, opcode = wire.decode_command_payload(frame.payload)
         switch = state.relay_switch
@@ -201,16 +211,17 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
             switch = SwitchState.ON
         elif opcode is wire.SwitchOpcode.SWITCH_OFF:
             switch = SwitchState.OFF
-        new_state = NodeState(state.id, state.sample_period, state.next_wake, switch,
-                              state.last_reading, state.coordinator, state.seed)
-        ack = RadioFrame(
-            src=state.id,
-            dst=state.coordinator,
-            kind=FrameKind.SENSOR_READING,
-            payload=switch_ack_payload(opcode, switch),
-        )
+        new_state = _build(NodeState, {**state.__dict__, "relay_switch": switch})
+        ack = _build(RadioFrame, {"src": state.id, "dst": state.coordinator,
+                                  "kind": FrameKind.SENSOR_READING,
+                                  "payload": switch_ack_payload(opcode, switch),
+                                  "route": (), "hop_index": 0})
         return new_state, [ack]
     return state, []
+
+
+# an uplink or downlink event's detail up to its seq, formatted once per type
+_TYPE_DETAIL = {msg_type: f"type={msg_type.name} seq=" for msg_type in wire.MsgType}
 
 
 def trace_line(tick: int, event: str, src: int, dst: int, detail: str) -> str:
@@ -292,24 +303,31 @@ class Coordinator:
         uplink: list[wire.Datagram] = []
         downlink: list[RadioFrame] = []
         for frame in frames:
-            uplink.extend(self._translate_frame(frame))
+            d = self.receive_frame(frame)
+            if d is not None:
+                uplink.append(d)
         for datagram in datagrams:
             up, down = self._handle_datagram(datagram)
             uplink.extend(up)
             downlink.extend(down)
         return uplink, downlink
 
-    def _translate_frame(self, frame: RadioFrame) -> list[wire.Datagram]:
-        if frame.kind is FrameKind.SENSOR_READING and is_switch_ack(frame.payload):
+    def receive_frame(self, frame: RadioFrame) -> wire.Datagram | None:
+        """The uplink datagram one frame delivered here becomes, if any."""
+        kind = frame.kind
+        if kind is FrameKind.SENSOR_READING and is_switch_ack(frame.payload):
             queue = self._pending.get(frame.src)
             if not queue:
-                return []  # orphan acknowledgment
-            return [wire.Datagram(wire.MsgType.ACK, queue.popleft(), frame.src)]
-        if frame.kind is FrameKind.SENSOR_READING:
-            return [wire.Datagram(wire.MsgType.SENSOR_DATA, self._next_seq(), frame.src, frame.payload)]
-        if frame.kind is FrameKind.ALARM:
-            return [wire.Datagram(wire.MsgType.ALARM_CID, self._next_seq(), frame.src, frame.payload)]
-        return []
+                return None  # orphan acknowledgment
+            msg_type, seq, payload = wire.MsgType.ACK, queue.popleft(), b""
+        elif kind is FrameKind.SENSOR_READING:
+            msg_type, seq, payload = wire.MsgType.SENSOR_DATA, self._next_seq(), frame.payload
+        elif kind is FrameKind.ALARM:
+            msg_type, seq, payload = wire.MsgType.ALARM_CID, self._next_seq(), frame.payload
+        else:
+            return None
+        return _build(wire.Datagram, {"msg_type": msg_type, "seq": seq,
+                                      "src_node": frame.src, "payload": payload})
 
     def _handle_datagram(self, d: wire.Datagram) -> tuple[list[wire.Datagram], list[RadioFrame]]:
         if d.msg_type is not wire.MsgType.COMMAND:
@@ -317,21 +335,17 @@ class Coordinator:
         try:
             target, _opcode = wire.decode_command_payload(d.payload)
         except InvalidInput:
-            return [wire.Datagram(wire.MsgType.NACK, d.seq, d.src_node)], []
-        nack = wire.Datagram(wire.MsgType.NACK, d.seq, target)
-        if not 1 <= target <= self.routes.table.n or target == self.node_id:
-            return [nack], []
-        path = self.routes.path(self.node_id, target)
-        if path is None:
-            return [nack], []
-        frame = RadioFrame(
-            src=self.node_id,
-            dst=target,
-            kind=FrameKind.COMMAND,
-            payload=d.payload,  # preserved byte-for-byte
-            route=path,
-            hop_index=1,
-        )
+            target, path = d.src_node, None
+        else:
+            inside = 1 <= target <= self.routes.table.n and target != self.node_id
+            path = self.routes.path(self.node_id, target) if inside else None
+        if path is None:  # undecodable, outside the mesh, or out of reach
+            return [_build(wire.Datagram, {"msg_type": wire.MsgType.NACK, "seq": d.seq,
+                                           "src_node": target, "payload": b""})], []
+        frame = _build(RadioFrame, {"src": self.node_id, "dst": target,
+                                    "kind": FrameKind.COMMAND,
+                                    "payload": d.payload,  # preserved byte-for-byte
+                                    "route": path, "hop_index": 1})
         self._pending.setdefault(target, deque()).append(d.seq)
         return [], [frame]
 
@@ -367,6 +381,7 @@ class SimNetwork:
         self._alarms: list[RadioFrame] = []  # raised on the next tick
         self._in_flight: list[RadioFrame] = []  # sent this tick, delivered the next
         self.trace: list[tuple[int, str, int, int, str]] = []
+        self._route_text: dict[tuple[int, ...], str] = {}  # filled by _send
         self.readings_emitted = 0
         self.frames_dropped = 0
 
@@ -398,8 +413,11 @@ class SimNetwork:
 
     def _send(self, frame: RadioFrame) -> None:
         """Put a routed frame on the air; it reaches route[1] next tick."""
-        self._log("send", frame.src, frame.dst,
-                  f"{frame.kind.trace_detail} route={'-'.join(map(str, frame.route))}")
+        route = frame.route
+        text = self._route_text.get(route)
+        if text is None:
+            text = self._route_text[route] = "route=" + "-".join(map(str, route))
+        self._log("send", frame.src, frame.dst, f"{frame.kind.trace_detail} {text}")
         self._in_flight.append(frame)
 
     def _launch(self, frame: RadioFrame) -> None:
@@ -409,7 +427,7 @@ class SimNetwork:
             self.frames_dropped += 1
             self._log("drop", frame.src, frame.dst, f"no-route {frame.kind.trace_detail}")
             return
-        self._send(RadioFrame(frame.src, frame.dst, frame.kind, frame.payload, path, 1))
+        self._send(_build(RadioFrame, {**frame.__dict__, "route": path, "hop_index": 1}))
 
     def step(self) -> None:
         """Advance one tick: pump the uplink, wake due nodes, raise alarms, then
@@ -419,15 +437,17 @@ class SimNetwork:
         if datagrams:
             for d in datagrams:
                 self._log("downlink", 0, self.coordinator.node_id,
-                          f"type={d.msg_type.name} seq={d.seq}")
+                          f"{_TYPE_DETAIL[d.msg_type]}{d.seq}")
             up, down = self.coordinator.step((), datagrams)
-            self._emit_uplink(up)
+            for d in up:
+                self._uplink(d)
             for frame in down:
                 self._send(frame)
 
-        for node_id in sorted(self.nodes):
-            state, frames = node_tick(self.nodes[node_id], self.now)
-            self.nodes[node_id] = state
+        nodes, now = self.nodes, self.now
+        for node_id, state in nodes.items():  # in id order, as __init__ filled it
+            state, frames = node_tick(state, now)
+            nodes[node_id] = state
             for frame in frames:
                 self.readings_emitted += 1
                 self._log("wake", node_id, frame.dst, f"reading={state.last_reading}")
@@ -447,8 +467,9 @@ class SimNetwork:
         holder = frame.route[frame.hop_index]
         if holder == self.coordinator.node_id:
             self._log("deliver", frame.src, holder, frame.kind.trace_detail)
-            up, _down = self.coordinator.step((frame,), ())  # frames alone send nothing down
-            self._emit_uplink(up)
+            d = self.coordinator.receive_frame(frame)
+            if d is not None:
+                self._uplink(d)
             return
         state, frames = node_on_receive(self.nodes[holder], frame)
         self.nodes[holder] = state
@@ -460,10 +481,9 @@ class SimNetwork:
                 self._log("switch", holder, out.dst, f"state={state.relay_switch.value}")
                 self._launch(out)
 
-    def _emit_uplink(self, datagrams) -> None:
-        for d in datagrams:
-            self._log("uplink", d.src_node, 0, f"type={d.msg_type.name} seq={d.seq}")
-            self.uplink_out.append(d)
+    def _uplink(self, d: wire.Datagram) -> None:
+        self._log("uplink", d.src_node, 0, f"{_TYPE_DETAIL[d.msg_type]}{d.seq}")
+        self.uplink_out.append(d)
 
     def drain_uplink(self) -> list[wire.Datagram]:
         out = self.uplink_out

@@ -62,6 +62,24 @@ class Datagram:
 
 _MSG_TYPES = MsgType._value2member_map_
 
+_new, _set_field = object.__new__, object.__setattr__
+
+
+def _build(cls, fields: dict):
+    """An instance of the frozen dataclass `cls` holding `fields`, which must
+    name every field; then its `__post_init__`, if it has one.
+
+    This is what the generated `__init__` does, except that the fields are set
+    at once, not with one `object.__setattr__` call each. The package builds
+    each message it derives from fields already known this way.
+    """
+    obj = _new(cls)
+    _set_field(obj, "__dict__", fields)
+    post_init = getattr(obj, "__post_init__", None)
+    if post_init is not None:
+        post_init()
+    return obj
+
 
 class PayloadTooLarge(HomemeshError):
     pass
@@ -107,7 +125,10 @@ def encode_datagram(d: Datagram) -> bytes:
         raise InvalidInput(f"seq {d.seq} outside 16-bit range")
     if not 0 <= d.src_node <= 0xFFFF:
         raise InvalidInput(f"src_node {d.src_node} outside 16-bit range")
-    msg_type = MsgType(d.msg_type)
+    try:
+        msg_type = _MSG_TYPES[d.msg_type]
+    except (KeyError, TypeError):
+        msg_type = MsgType(d.msg_type)  # raises the enum's own ValueError
     head = HEADER.pack(MAGIC, VERSION, msg_type, d.seq, d.src_node, len(d.payload))
     body = head + d.payload
     return body + CRC.pack(zlib.crc32(body))
@@ -158,7 +179,8 @@ def check_frame(data, start: int, stop: int,
 def decode_datagram(data: bytes) -> Datagram:
     """Parse exactly one frame, validating magic, version, type, length, CRC."""
     kind, seq, src_node, end = check_frame(data, 0, len(data))
-    return Datagram(kind, seq, src_node, bytes(data[HEADER.size:end - CRC.size]))
+    return _build(Datagram, {"msg_type": kind, "seq": seq, "src_node": src_node,
+                             "payload": bytes(data[HEADER.size:end - CRC.size])})
 
 
 class StreamDecoder:
@@ -186,8 +208,9 @@ class StreamDecoder:
                 if checked is None:
                     break
                 kind, seq, src_node, end = checked
-                payload = bytes(buf[start + HEADER.size:end - CRC.size])
-                out.append(Datagram(kind, seq, src_node, payload))
+                out.append(_build(Datagram, {
+                    "msg_type": kind, "seq": seq, "src_node": src_node,
+                    "payload": bytes(buf[start + HEADER.size:end - CRC.size])}))
                 if frames is not None:
                     frames.append(bytes(buf[start:end]))
                 start = end

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -297,6 +298,62 @@ def test_node_on_receive_builds_what_replace_would(case, data):
                                   payload=switch_ack_payload(opcode, switch))]
     else:
         assert (new, out) == (state, [])
+
+
+# --- wire._build against the public constructors ---------------------------------
+
+DATAGRAM_FIELDS = {
+    "msg_type": st.sampled_from(wire.MsgType),
+    "seq": st.integers(0, 0xFFFF),
+    "src_node": st.integers(0, 0xFFFF),
+    "payload": st.binary(max_size=64),
+}
+
+
+@st.composite
+def frame_fields(draw):
+    fields = {name: draw(strategy) for name, strategy in FRAME_FIELDS.items()}
+    fields["route"] = tuple(draw(st.lists(st.integers(1, 30), max_size=6)))
+    fields["hop_index"] = draw(st.integers(0, len(fields["route"])))
+    return fields
+
+
+MESSAGES = {
+    "node-state": (NodeState, st.fixed_dictionaries(NODE_FIELDS)),
+    "radio-frame": (RadioFrame, frame_fields()),
+    "datagram": (wire.Datagram, st.fixed_dictionaries(DATAGRAM_FIELDS)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(MESSAGES))
+@given(data=st.data())
+def test_build_makes_what_the_constructor_makes(message, data):
+    cls, strategy = MESSAGES[message]
+    fields = data.draw(strategy)
+    made = cls(**fields)
+    built = wire._build(cls, dict(fields))
+    assert type(built) is cls
+    assert built == made and made == built
+    assert hash(built) == hash(made)
+    name = data.draw(st.sampled_from(sorted(fields)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, name, getattr(made, name))
+
+
+@given(fields=frame_fields(), fault=st.sampled_from(["payload", "hop-high", "hop-negative"]),
+       by=st.integers(1, 5))
+def test_build_checks_every_frame(fields, fault, by):
+    if fault == "payload":
+        fields["payload"] = bytes(simnet.MAX_FRAME_PAYLOAD + by)
+    elif fault == "hop-high":
+        fields["hop_index"] = len(fields["route"]) + by
+    else:
+        fields["hop_index"] = -by
+    with pytest.raises(InvalidInput) as made:
+        RadioFrame(**fields)
+    with pytest.raises(InvalidInput) as built:
+        wire._build(RadioFrame, dict(fields))
+    assert str(built.value) == str(made.value)
 
 
 # --- discovery ---------------------------------------------------------------------
@@ -698,3 +755,45 @@ def test_network_builds_at_most_one_tree_per_node(table1_topology, tree_calls):
     assert net.nodes[10].relay_switch is SwitchState.ON
     assert net.readings_emitted > table1_topology.n
     assert len(tree_calls) <= table1_topology.n
+
+
+# --- a long run, pinned byte for byte ------------------------------------------------
+
+# sha256 of the 300-tick run below: its trace lines, its uplink frames and its
+# final node states, recorded before the tick loop built messages in one step
+LONG_RUN_TRACE = "c08a5fc00f8e07514d1b2c352f540cffbc65650853388efcf4f0af060c556cd5"
+LONG_RUN_UPLINK = "66faf65e88db45dae630aa82f44e0e9e6ed3f799fb964821a0f9a711a9599c29"
+LONG_RUN_NODES = "e1b8fa9f468c016f62b7dab75590ff87f5faa1e8185302bb90862e1d4908405a"
+
+
+def test_long_run_is_byte_stable(table1_topology):
+    # mesh-ref's shape: every node samples every tick, a seeded switch command
+    # arrives every 50 ticks and a seeded alarm is raised every 100
+    rng = random.Random(20)
+    net = SimNetwork(table1_topology, 5, seed=3, sample_period=1)
+    net.run_discovery()
+    sensors = sorted(net.nodes)
+    uplink = bytearray()
+    decoder = wire.StreamDecoder()
+    for tick in range(300):
+        if tick % 50 == 0:
+            target = rng.choice(sensors)
+            opcode = rng.choice([wire.SwitchOpcode.SWITCH_ON, wire.SwitchOpcode.SWITCH_OFF])
+            net.inject_datagram(wire.Datagram(wire.MsgType.COMMAND, tick // 50, target,
+                                              wire.encode_command_payload(target, opcode)))
+        if tick % 100 == 50:
+            net.inject_alarm(rng.choice(sensors), "".join(rng.choice("0123456789")
+                                                          for _ in range(16)))
+        net.step()
+        out = net.drain_uplink()
+        frames = b"".join(wire.encode_datagram(d) for d in out)
+        assert decoder.feed(frames) == out
+        uplink += frames
+    assert net.frames_dropped == 0
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert (digest("\n".join(net.trace_lines()).encode()), digest(bytes(uplink)),
+            digest(repr(sorted(net.nodes.items())).encode())) == (
+        LONG_RUN_TRACE, LONG_RUN_UPLINK, LONG_RUN_NODES)

@@ -61,6 +61,22 @@ def test_encode_range_checks(field, value):
         wire.encode_datagram(wire.Datagram(**kwargs))
 
 
+@pytest.mark.parametrize("msg_type", [0, 8, 0x7F, "ACK", [3]])
+def test_encode_refuses_an_unknown_type_as_the_enum_does(msg_type):
+    with pytest.raises(ValueError) as by_enum:
+        wire.MsgType(msg_type)
+    with pytest.raises(ValueError) as by_encode:
+        wire.encode_datagram(wire.Datagram(msg_type, 0, 0))
+    assert type(by_encode.value) is type(by_enum.value)
+    assert str(by_encode.value) == str(by_enum.value)
+
+
+@pytest.mark.parametrize("msg_type", [3, wire.MsgType.ACK])
+def test_encode_takes_a_type_by_value(msg_type):
+    assert wire.encode_datagram(wire.Datagram(msg_type, 1, 2)) == wire.encode_datagram(
+        wire.Datagram(wire.MsgType.ACK, 1, 2))
+
+
 def test_truncated_below_minimum():
     with pytest.raises(wire.Truncated) as excinfo:
         wire.decode_datagram(HEARTBEAT_FRAME[:13])

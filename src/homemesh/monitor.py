@@ -110,8 +110,11 @@ class TicketState(Enum):
 
 TERMINAL_STATES = (TicketState.ACKED, TicketState.NACKED, TicketState.TIMED_OUT)
 
+# bound once: the ingest path names them for every frame
+_ACK, _NACK, _ALARM_CID = wire.MsgType.ACK, wire.MsgType.NACK, wire.MsgType.ALARM_CID
+
 # the ticket state a coordinator's answer to a COMMAND moves its ticket to
-_ANSWERS = {wire.MsgType.ACK: TicketState.ACKED, wire.MsgType.NACK: TicketState.NACKED}
+_ANSWERS = {_ACK: TicketState.ACKED, _NACK: TicketState.NACKED}
 
 # the switch opcodes by the names the admin protocol and the CLI use
 OPCODE_NAMES = {
@@ -159,11 +162,13 @@ class RecordStore:
     type the store never writes) and everything after it, is truncated away.
     The column file is a cache: deleting it costs one full replay. A
     SensorRecord is built only when `query`, `snapshot` or `record` returns
-    one. `append` adds a record to the log's bytes in memory and writes
-    nothing; `flush()` writes every byte past the last flush to the file in
-    one write and returns once the OS holds them, so a record appended
-    before a `flush()` that returned survives a crash of the process (not a
-    power loss: nothing is fsynced). `close()` flushes too. A frame is a
+    one. `append_frame` adds a record to the log's bytes in memory from a
+    frame's checked bytes and the fields read from them, as a session
+    receives it, and writes nothing (`append` does so from a Datagram, by
+    encoding it); `flush()` writes every byte past the last flush to the
+    file in one write and returns once the OS holds them, so a record
+    appended before a `flush()` that returned survives a crash of the
+    process (not a power loss: nothing is fsynced). `close()` flushes too. A frame is a
     duplicate, and is not stored again, when its coordinator stored the same
     (seq, payload) among its last DEDUP_WINDOW stored frames. A coordinator's
     window maps those keys to record indices; it is folded from the log on
@@ -255,7 +260,7 @@ class RecordStore:
             if end > size:
                 break
             try:
-                msg_type, _, src_node, _ = wire.check_frame(blob, frame, end)
+                msg_type, _, src_node, _, _ = wire.check_frame(blob, frame, end)
             except wire.ProtocolError:
                 msg_type = None
             if msg_type not in _KIND_OF_TYPE:  # damaged, or a frame the store never writes
@@ -315,20 +320,27 @@ class RecordStore:
         would fold it from the log again."""
         self._windows.pop(coordinator_id, None)
 
-    def append(self, coordinator_id: int, d: wire.Datagram, received_at: int | None = None,
-               frame: bytes | None = None) -> tuple[int, bool]:
-        """Add one datagram to the log's bytes; returns (record_id, created).
+    def append(self, coordinator_id: int, d: wire.Datagram,
+               received_at: int | None = None) -> tuple[int, bool]:
+        """Add one datagram to the log's bytes: `append_frame` of its
+        encoded frame."""
+        return self.append_frame(coordinator_id, d.msg_type, d.seq, d.src_node,
+                                 wire.encode_datagram(d), d.payload, received_at)
 
-        `frame` is d's encoded bytes, as `wire.StreamDecoder` hands them out;
-        without it, d is encoded here. A duplicate returns the stored record's
-        id with created=False and adds nothing. The file gets the record at
-        the next `flush()`; `record(record_id)` builds it. An append that
-        raises leaves the store as it was.
+    def append_frame(self, coordinator_id: int, msg_type: wire.MsgType, seq: int,
+                     src_node: int, frame: bytes, payload: bytes,
+                     received_at: int | None = None) -> tuple[int, bool]:
+        """Add one checked frame to the log's bytes; returns (record_id, created).
+
+        `frame` is the frame's bytes, as `wire.StreamDecoder.take` checked
+        them, and the other fields are the ones it read from them. A
+        duplicate returns the stored record's id with created=False and adds
+        nothing. The file gets the record at the next `flush()`;
+        `record(record_id)` builds it. An append that raises leaves the
+        store as it was.
         """
-        if frame is None:
-            frame = wire.encode_datagram(d)
-        if d.msg_type not in _KIND_OF_TYPE:
-            raise InvalidInput(f"a {wire.MsgType(d.msg_type).name} frame is not a record")
+        if msg_type not in _KIND_OF_TYPE:
+            raise InvalidInput(f"a {wire.MsgType(msg_type).name} frame is not a record")
         stamps = self._received_at
         if received_at is None:
             received_at = time.time_ns()
@@ -336,7 +348,7 @@ class RecordStore:
                 received_at = stamps[-1] + 1
         # before any state changes: a coordinator id past 16 bits raises here
         header = RECORD_HEADER.pack(received_at, coordinator_id, len(frame))
-        key = (d.seq, d.payload)
+        key = (seq, payload)
         window = self._window(coordinator_id)
         existing = window.get(key)
         if existing is not None:
@@ -348,9 +360,9 @@ class RecordStore:
         log += frame
         stamps.append(received_at)
         self._coordinator.append(coordinator_id)
-        self._node.append(d.src_node)
-        self._type.append(d.msg_type)
-        self._latest[(coordinator_id, d.src_node)] = index
+        self._node.append(src_node)
+        self._type.append(msg_type)
+        self._latest[(coordinator_id, src_node)] = index
         window[key] = index
         if len(window) > DEDUP_WINDOW:
             window.popitem(last=False)
@@ -456,12 +468,6 @@ class RecordStore:
                 os.remove(tmp)
 
 
-def _reply(msg_type: wire.MsgType, d: wire.Datagram) -> wire.Datagram:
-    """The ACK or NACK answering d: its seq and src_node, no payload."""
-    return wire._build(wire.Datagram, {"msg_type": msg_type, "seq": d.seq,
-                                       "src_node": d.src_node, "payload": b""})
-
-
 class _Session:
     """One connected coordinator; its transport has write() and is_closing()."""
 
@@ -475,8 +481,12 @@ class _Session:
 class MonitorCore:
     """The service's protocol state, changed only by its event methods.
 
-    `dispatch` and `expire` take the time from the caller, in any unit that
-    matches command_timeout. A ticket times out only in `expire(now)` or when
+    A session's frames arrive through `handle_frame`, one checked frame at a
+    time as `ingest_read` splits each read, and it returns only the type of
+    the reply, which the caller packs; `handle_datagram` is the same event
+    for one Datagram, with the reply built as one. `dispatch` and `expire`
+    take the time from the caller, in any unit that matches
+    command_timeout. A ticket times out only in `expire(now)` or when
     `disconnect` ends its session. `close()` then `open()` reopen the store
     and keep the tickets, as a service restart does.
     """
@@ -512,31 +522,38 @@ class MonitorCore:
         for ticket_id in session.pending.values():
             self._advance(ticket_id, TicketState.TIMED_OUT)
 
-    def handle_datagram(self, session: _Session, d: wire.Datagram,
-                        frame: bytes | None = None) -> wire.Datagram | None:
-        """Ingest one decoded datagram, given its frame bytes when the caller
-        has them; returns the reply to send, if any. A stored record reaches
-        the file at the store's next `flush()`, which must come before the
-        reply is sent."""
-        if d.msg_type in _KIND_OF_TYPE:
-            _, created = self.store.append(session.id, d, frame=frame)
-            if not created:
-                log.info("session %d: duplicate seq=%d ignored", session.id, d.seq)
-            if d.msg_type is wire.MsgType.ALARM_CID and _decode_alarm(d.payload)[1] is not None:
-                return _reply(wire.MsgType.NACK, d)
-            return _reply(wire.MsgType.ACK, d)
-        if d.msg_type in _ANSWERS:
-            ticket_id = session.pending.pop(d.seq, None)
+    def handle_datagram(self, session: _Session, d: wire.Datagram) -> wire.Datagram | None:
+        """Ingest one decoded datagram: `handle_frame` of its encoded frame,
+        with the reply it names built as a datagram."""
+        reply = self.handle_frame(session, d.msg_type, d.seq, d.src_node,
+                                  wire.encode_datagram(d), d.payload)
+        return None if reply is None else wire.Datagram(reply, d.seq, d.src_node)
+
+    def handle_frame(self, session: _Session, msg_type: wire.MsgType, seq: int, src_node: int,
+                     frame: bytes, payload: bytes) -> wire.MsgType | None:
+        """Ingest one checked frame, given its fields, bytes and payload as
+        `ingest_read` hands them out; returns the type of the reply to send,
+        ACK or NACK with the frame's seq and src_node, or None. A stored
+        record reaches the file at the store's next `flush()`, which must
+        come before the reply is sent."""
+        if msg_type in _KIND_OF_TYPE:
+            if not self.store.append_frame(session.id, msg_type, seq, src_node, frame, payload)[1]:
+                log.info("session %d: duplicate seq=%d ignored", session.id, seq)
+            if msg_type is _ALARM_CID and _decode_alarm(payload)[1] is not None:
+                return _NACK
+            return _ACK
+        if msg_type in _ANSWERS:
+            ticket_id = session.pending.pop(seq, None)
             if ticket_id is None:
                 log.info("session %d: %s for unknown seq %d ignored",
-                         session.id, d.msg_type.name, d.seq)
-            self._advance(ticket_id, _ANSWERS[d.msg_type])
+                         session.id, msg_type.name, seq)
+            self._advance(ticket_id, _ANSWERS[msg_type])
             return None
-        if d.msg_type is wire.MsgType.DISCOVERY_REPORT:
-            log.info("session %d: discovery report, %d bytes", session.id, len(d.payload))
-            return _reply(wire.MsgType.ACK, d)
-        log.warning("session %d: unexpected %s", session.id, d.msg_type.name)
-        return _reply(wire.MsgType.NACK, d)
+        if msg_type is wire.MsgType.DISCOVERY_REPORT:
+            log.info("session %d: discovery report, %d bytes", session.id, len(payload))
+            return _ACK
+        log.warning("session %d: unexpected %s", session.id, msg_type.name)
+        return _NACK
 
     def dispatch(self, target_node: int, opcode: wire.SwitchOpcode, now: float) -> CommandTicket:
         """COMMAND the newest session not closing; time it out at now + command_timeout."""
@@ -551,8 +568,7 @@ class MonitorCore:
         seq = session.command_seq
         session.command_seq = (seq + 1) & 0xFFFF
         session.pending[seq] = ticket.ticket_id
-        session.transport.write(wire.encode_datagram(
-            wire.Datagram(wire.MsgType.COMMAND, seq, target_node, payload)))
+        session.transport.write(wire.pack_frame(wire.MsgType.COMMAND, seq, target_node, payload))
         self._advance(ticket.ticket_id, TicketState.SENT)
         heapq.heappush(self._deadlines,
                        (now + self.command_timeout, ticket.ticket_id, session.id, seq))
@@ -577,6 +593,28 @@ class MonitorCore:
             self._finished.append(ticket_id)
             if len(self._finished) > TICKET_RETENTION:
                 del self._tickets[self._finished.popleft()]
+
+
+def ingest_read(decoder: wire.StreamDecoder, data: bytes, handle, session: _Session) -> bytes:
+    """One read of a coordinator session: the bytes of the replies to it.
+
+    Checks every frame the read completes before it handles any (a
+    malformed one raises its wire.ProtocolError, and none is handled), then
+    passes each in order to
+    `handle(session, msg_type, seq, src_node, frame, payload)`, as
+    `MonitorCore.handle_frame` takes them, and packs each reply type it
+    returns into an ACK or NACK frame with that frame's seq and src_node.
+    The replies may leave only once the store's `flush()` has returned.
+    """
+    chunk, frames = decoder.take(data)
+    pack, payload_at, crc_size = wire.pack_frame, wire.HEADER.size, wire.CRC.size
+    replies = []
+    for msg_type, seq, src_node, start, end in frames:
+        reply = handle(session, msg_type, seq, src_node, chunk[start:end],
+                       chunk[start + payload_at:end - crc_size])
+        if reply is not None:
+            replies.append(pack(reply, seq, src_node))
+    return b"".join(replies)
 
 
 class MonitorService:
@@ -670,23 +708,20 @@ class MonitorService:
         decoder = wire.StreamDecoder()
         try:
             while data := await reader.read(READ_SIZE):
-                frames: list[bytes] = []
                 try:
-                    datagrams = decoder.feed(data, frames)
+                    replies = ingest_read(decoder, data, self.handle_datagram, session)
                 except wire.ProtocolError as exc:
                     log.warning("session %d: protocol error: %s", session.id, exc)
                     writer.transport.abort()
                     break
-                replies = [self.handle_datagram(session, d, frame)
-                           for d, frame in zip(datagrams, frames)]
-                # one write for the chunk's records, and only then their ACKs
+                # one write for the chunk's records, and only then their replies
                 try:
                     self._core.store.flush()
                 except OSError as exc:
                     log.error("session %d: cannot write the log: %s", session.id, exc)
                     writer.transport.abort()
                     break
-                writer.write(b"".join(wire.encode_datagram(r) for r in replies if r is not None))
+                writer.write(replies)
                 # a peer that stops reading its replies stops being read
                 await writer.drain()
         except ConnectionError:
@@ -698,10 +733,10 @@ class MonitorService:
             writer.close()
             log.info("session %d closed", session.id)
 
-    def handle_datagram(self, session: _Session, d: wire.Datagram,
-                        frame: bytes | None = None) -> wire.Datagram | None:
-        """Ingest one decoded datagram; returns the reply to send, if any."""
-        return self._core.handle_datagram(session, d, frame)
+    def handle_datagram(self, session: _Session, msg_type: wire.MsgType, seq: int,
+                        src_node: int, frame: bytes, payload: bytes) -> wire.MsgType | None:
+        """Ingest one checked frame; returns the type of the reply to send, if any."""
+        return self._core.handle_frame(session, msg_type, seq, src_node, frame, payload)
 
     # --- command tickets -----------------------------------------------------
 

@@ -129,13 +129,18 @@ def encode_datagram(d: Datagram) -> bytes:
         msg_type = _MSG_TYPES[d.msg_type]
     except (KeyError, TypeError):
         msg_type = MsgType(d.msg_type)  # raises the enum's own ValueError
-    head = HEADER.pack(MAGIC, VERSION, msg_type, d.seq, d.src_node, len(d.payload))
-    body = head + d.payload
+    return pack_frame(msg_type, d.seq, d.src_node, d.payload)
+
+
+def pack_frame(msg_type: MsgType, seq: int, src_node: int, payload: bytes = b"") -> bytes:
+    """The frame holding these fields, which the caller has put in range:
+    one header pack, the payload, one CRC."""
+    body = HEADER.pack(MAGIC, VERSION, msg_type, seq, src_node, len(payload)) + payload
     return body + CRC.pack(zlib.crc32(body))
 
 
 def check_frame(data, start: int, stop: int,
-                stream: bool = False) -> tuple[MsgType, int, int, int] | None:
+                stream: bool = False) -> tuple[MsgType, int, int, int, int] | None:
     """Check the frame that begins at data[start]; error offsets are frame-relative.
 
     Validates magic, version, type, declared length and CRC where the frame
@@ -143,7 +148,8 @@ def check_frame(data, start: int, stop: int,
     10 bytes are present. Without `stream`, the frame must end exactly at
     `stop`. With it, the bytes up to `stop` past the frame are the next
     frames', and None means the frame is not complete yet. Returns
-    (msg_type, seq, src_node, end), where end is the offset just past the frame.
+    (msg_type, seq, src_node, start, end), where end is the offset just past
+    the frame.
     """
     if stop - start < MIN_FRAME and not stream:
         raise Truncated(f"frame of {stop - start} bytes is below the {MIN_FRAME}-byte minimum",
@@ -173,12 +179,12 @@ def check_frame(data, start: int, stop: int,
     computed = zlib.crc32(data[start:body_end])
     if crc != computed:
         raise BadCrc(f"crc {crc:#010x} != computed {computed:#010x}", offset=body_end - start)
-    return kind, seq, src_node, end
+    return kind, seq, src_node, start, end
 
 
 def decode_datagram(data: bytes) -> Datagram:
     """Parse exactly one frame, validating magic, version, type, length, CRC."""
-    kind, seq, src_node, end = check_frame(data, 0, len(data))
+    kind, seq, src_node, _, end = check_frame(data, 0, len(data))
     return _build(Datagram, {"msg_type": kind, "seq": seq, "src_node": src_node,
                              "payload": bytes(data[HEADER.size:end - CRC.size])})
 
@@ -186,37 +192,40 @@ def decode_datagram(data: bytes) -> Datagram:
 class StreamDecoder:
     """Incremental frame splitter for a byte stream; confine to one thread.
 
-    feed() returns every complete datagram buffered so far and raises the
-    usual decode errors as soon as a malformed header or body is visible.
-    The frames before a malformed one are consumed, and the malformed one
-    stays buffered. Given a list `frames`, feed() also appends to it each
-    returned datagram's checked frame bytes, in the same order: they equal
-    `encode_datagram` of that datagram, without encoding it again.
+    take() checks every complete frame buffered so far with `check_frame`
+    before it returns any: it returns the consumed bytes, as one bytes
+    object, and each frame's (msg_type, seq, src_node, start, end) in them,
+    so a caller handles the frames where they lie and builds no Datagram.
+    A frame's bytes, chunk[start:end], equal `encode_datagram` of its
+    datagram. feed() is take() with a Datagram built per frame. Both raise
+    the usual decode errors as soon as a malformed header or body is
+    visible. The frames before a malformed one are consumed, and the
+    malformed one stays buffered.
     """
 
     def __init__(self):
-        self._buf = bytearray()
+        self._buf = b""  # the bytes of the incomplete frame at the end, if any
 
-    def feed(self, data: bytes, frames: list[bytes] | None = None) -> list[Datagram]:
-        buf = self._buf
-        buf.extend(data)
-        out = []
-        start = 0
+    def take(self, data: bytes) -> tuple[bytes, list[tuple[MsgType, int, int, int, int]]]:
+        data = self._buf + data if self._buf else bytes(data)
+        frames = []
+        start, stop = 0, len(data)
         try:
-            while len(buf) - start >= HEADER.size:
-                checked = check_frame(buf, start, len(buf), True)
+            while stop - start >= HEADER.size:
+                checked = check_frame(data, start, stop, True)
                 if checked is None:
                     break
-                kind, seq, src_node, end = checked
-                out.append(_build(Datagram, {
-                    "msg_type": kind, "seq": seq, "src_node": src_node,
-                    "payload": bytes(buf[start + HEADER.size:end - CRC.size])}))
-                if frames is not None:
-                    frames.append(bytes(buf[start:end]))
-                start = end
+                frames.append(checked)
+                start = checked[4]
         finally:
-            del buf[:start]
-        return out
+            self._buf = data[start:]
+        return data[:start], frames
+
+    def feed(self, data: bytes) -> list[Datagram]:
+        chunk, frames = self.take(data)
+        return [_build(Datagram, {"msg_type": kind, "seq": seq, "src_node": src_node,
+                                  "payload": chunk[start + HEADER.size:end - CRC.size]})
+                for kind, seq, src_node, start, end in frames]
 
     @property
     def pending(self) -> int:

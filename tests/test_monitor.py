@@ -584,6 +584,17 @@ def test_garbage_session_is_isolated(service):
     bad.close()
 
 
+def test_a_bad_frame_after_good_ones_in_one_chunk_leaves_the_chunk_unstored(service):
+    client = Client(service)
+    frames = [wire.encode_datagram(wire.Datagram(wire.MsgType.SENSOR_DATA, seq, 3, b"ok"))
+              for seq in (1, 2, 3)]
+    frames[-1] = frames[-1][:-1] + bytes([frames[-1][-1] ^ 0xFF])  # a bad CRC
+    client.send_raw(b"".join(frames))
+    assert client.closed_by_peer()  # with no reply before the close
+    assert service.query_history()[0] == []
+    client.close()
+
+
 def test_duplicate_frames_acked_but_stored_once(service):
     client = Client(service)
     d = wire.Datagram(wire.MsgType.SENSOR_DATA, 11, 5, b"dup")

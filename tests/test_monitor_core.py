@@ -11,13 +11,15 @@ DEDUP_WINDOW and TICKET_RETENTION are made small, so that dedup windows and
 finished tickets are evicted within a run.
 """
 
+import dataclasses
 import os
 import shutil
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
+from unittest import mock
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, \
     run_state_machine_as_test
@@ -136,15 +138,15 @@ class CoreMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.live)
     @rule(pick=PICK, frames=st.lists(FRAMES, min_size=1, max_size=4), repeat=PICK)
     def send_chunk(self, pick, frames, repeat):
-        # as the shell handles one read: every frame with its bytes, then one flush
+        # as the shell handles one read: the same chunk entry, then one flush
         session = list(self.live.values())[pick % len(self.live)]
         chunk = [wire.Datagram(kind, seq, node, payload) for kind, node, seq, payload in frames]
         chunk.append(chunk[repeat % len(chunk)])  # a retransmit inside the chunk
-        raw: list[bytes] = []
-        datagrams = wire.StreamDecoder().feed(b"".join(map(wire.encode_datagram, chunk)), raw)
-        replies = [self.core.handle_datagram(session, d, frame) for d, frame in zip(datagrams, raw)]
+        data = b"".join(map(wire.encode_datagram, chunk))
+        replies = monitor.ingest_read(wire.StreamDecoder(), data, self.core.handle_frame, session)
         self.core.store.flush()
-        assert replies == [wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node) for d in chunk]
+        assert replies == b"".join(
+            wire.encode_datagram(wire.Datagram(wire.MsgType.ACK, d.seq, d.src_node)) for d in chunk)
         for d in chunk:
             self._stored(session, d)
 
@@ -306,3 +308,82 @@ def test_a_session_takes_its_dedup_window_with_it(tmp_path):
         assert len(core.store.query()[0]) == 1000
     finally:
         core.close()
+
+
+# --- the chunk path against one handle_datagram per datagram --------------------
+
+VALID_CID, BAD_CID = b"1234181131010158", b"1234181131010157"
+COMMANDS = 3  # dispatched before each stream, so answers to seqs 0..2 find a pending ticket
+RECORD_FRAMES = st.builds(wire.Datagram, st.sampled_from(sorted(KINDS)), SEQS,
+                          st.sampled_from(NODES), PAYLOADS)
+OTHER_FRAMES = st.one_of(
+    st.builds(wire.Datagram, st.just(wire.MsgType.ALARM_CID), SEQS, st.sampled_from(NODES),
+              st.sampled_from([VALID_CID, BAD_CID])),
+    st.builds(wire.Datagram, st.sampled_from([wire.MsgType.ACK, wire.MsgType.NACK]),
+              st.integers(0, COMMANDS), st.just(10)),
+    st.builds(wire.Datagram, st.just(wire.MsgType.DISCOVERY_REPORT), SEQS, st.just(1),
+              st.just(b"\x07\x09")),
+    st.builds(wire.Datagram, st.just(wire.MsgType.COMMAND), SEQS, st.just(1),
+              st.just(b"\x07\x01")),  # a coordinator never sends one: NACKed
+)
+WRAPS = st.integers(0xFFF0, 0xFFFF).map(  # a run of seqs across the 16-bit wrap
+    lambda first: [wire.Datagram(wire.MsgType.SENSOR_DATA, (first + i) & 0xFFFF, 7, b"w")
+                   for i in range(0x10004 - first)])
+STREAMS = st.lists(st.one_of(RECORD_FRAMES.map(lambda d: [d]), OTHER_FRAMES.map(lambda d: [d]),
+                             WRAPS), max_size=12)
+
+
+def _masked_log(store):
+    """The log's bytes with each record's received_at zeroed."""
+    log = bytearray(store._log)
+    for offset in store._offset:
+        log[offset:offset + 8] = bytes(8)
+    return bytes(log)
+
+
+def _core_state(core):
+    store = core.store
+    return (_masked_log(store), [bytes(column) for column in
+                                 (store._node, store._type, store._coordinator, store._offset)],
+            {key: dataclasses.replace(r, received_at=0) for key, r in store.snapshot().items()},
+            {ticket_id: t.state for ticket_id, t in core._tickets.items()})
+
+
+@given(STREAMS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_chunk_path_matches_one_handle_datagram_per_datagram(runs, data):
+    stream = [d for run in runs for d in run]
+    for _ in range(data.draw(st.integers(0, 3))):  # retransmits, each right after its frame
+        if stream:
+            at = data.draw(st.integers(0, len(stream) - 1))
+            stream.insert(at + 1, stream[at])
+    blob = b"".join(map(wire.encode_datagram, stream))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=6)))
+    pieces = [blob[a:b] for a, b in zip([0] + cuts, cuts + [len(blob)])]
+    with tempfile.TemporaryDirectory(prefix="homemesh-core-") as tmp, \
+            mock.patch.object(monitor, "DEDUP_WINDOW", 3):
+        cores = [MonitorCore(f"{tmp}/{name}.log", command_timeout=TIMEOUT) for name in "ab"]
+        try:
+            sessions = []
+            for core in cores:
+                core.open()
+                sessions.append(core.connect(FakeTransport()))
+                for _ in range(COMMANDS):
+                    core.dispatch(10, wire.SwitchOpcode.SWITCH_ON, 0.0)
+            chunked, single = cores
+            decoders = wire.StreamDecoder(), wire.StreamDecoder()
+            replies = [b"", b""]
+            for piece in pieces:
+                replies[0] += monitor.ingest_read(decoders[0], piece, chunked.handle_frame,
+                                                  sessions[0])
+                for d in decoders[1].feed(piece):
+                    reply = single.handle_datagram(sessions[1], d)
+                    if reply is not None:
+                        replies[1] += wire.encode_datagram(reply)
+                for core in cores:
+                    core.store.flush()
+            assert replies[0] == replies[1]
+            assert _core_state(chunked) == _core_state(single)
+        finally:
+            for core in cores:
+                core.close()

@@ -244,12 +244,16 @@ def test_stream_hands_out_each_datagrams_encoded_bytes(frames, data):
     plain, handing = wire.StreamDecoder(), wire.StreamDecoder()
     remaining = list(frames)
     for _, piece in _pieces(blob, cuts):
-        raw: list[bytes] = []
-        out = handing.feed(piece, raw)
-        assert out == plain.feed(piece) == remaining[:len(out)]
+        chunk, checked = handing.take(piece)
+        out = plain.feed(piece)
+        assert out == remaining[:len(checked)]
         del remaining[:len(out)]
-        assert raw == [wire.encode_datagram(d) for d in out]
-        assert all(type(frame) is bytes for frame in raw)
+        assert type(chunk) is bytes
+        assert chunk == b"".join(wire.encode_datagram(d) for d in out)
+        assert [chunk[start:end] for *_, start, end in checked] == \
+            [wire.encode_datagram(d) for d in out]
+        assert [tuple(fields) for *fields, _, _ in checked] == \
+            [(d.msg_type, d.seq, d.src_node) for d in out]
     assert remaining == [] and handing.pending == 0
 
 

@@ -170,20 +170,30 @@ def parse_switch_ack(payload: bytes) -> tuple[wire.SwitchOpcode, SwitchState]:
     return opcode, switch
 
 
-def node_tick(state: NodeState, now: int) -> tuple[NodeState, list[RadioFrame]]:
-    """Advance the duty cycle: a due node samples once, emits one reading
-    addressed to its coordinator, and hibernates until next_wake + period."""
-    if now < state.next_wake:
-        return state, []
+def _wake(state: NodeState, now: int) -> tuple[NodeState, bytes]:
+    """One duty cycle of a due node (now >= next_wake): it samples once and
+    hibernates until next_wake + period. Returns the woken state and the
+    payload of the reading it sends to its coordinator."""
     reading = synthetic_reading(state.id, now, state.seed)
     next_wake = state.next_wake + state.sample_period
     if next_wake <= now:  # catch up after missed wakes
         next_wake = now + state.sample_period
     new_state = _build(NodeState, {**state.__dict__, "next_wake": next_wake,
                                    "last_reading": reading})
+    return new_state, READING_PAYLOAD.pack(now, reading)
+
+
+def node_tick(state: NodeState, now: int) -> tuple[NodeState, list[RadioFrame]]:
+    """Advance the duty cycle: a due node samples once, emits one reading
+    addressed to its coordinator, and hibernates until next_wake + period.
+
+    The reading's frame has no route yet. SimNetwork.step wakes nodes through
+    the same duty cycle and launches each reading already routed."""
+    if now < state.next_wake:
+        return state, []
+    new_state, payload = _wake(state, now)
     frame = _build(RadioFrame, {"src": state.id, "dst": state.coordinator,
-                                "kind": FrameKind.SENSOR_READING,
-                                "payload": READING_PAYLOAD.pack(now, reading),
+                                "kind": FrameKind.SENSOR_READING, "payload": payload,
                                 "route": (), "hop_index": 0})
     return new_state, [frame]
 
@@ -195,15 +205,15 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
     applies switch commands to its relay and answers with an acknowledgment
     reading. Hibernation resumes untouched (next_wake is never altered).
     """
-    route = frame.route
+    route, hop = frame.route, frame.hop_index
     if state.id not in route:
         raise MisroutedFrame(f"node {state.id} is not on route {list(route)}")
-    if frame.hop_index >= len(route) or route[frame.hop_index] != state.id:
+    if hop >= len(route) or route[hop] != state.id:
         raise MisroutedFrame(
-            f"node {state.id} received frame out of turn (hop {frame.hop_index} of {list(route)})"
+            f"node {state.id} received frame out of turn (hop {hop} of {list(route)})"
         )
-    if not frame.at_destination:
-        return state, [_build(RadioFrame, {**frame.__dict__, "hop_index": frame.hop_index + 1})]
+    if hop != len(route) - 1:  # not at_destination (route holds this node)
+        return state, [_build(RadioFrame, {**frame.__dict__, "hop_index": hop + 1})]
     if frame.kind is FrameKind.COMMAND:
         _target, opcode = wire.decode_command_payload(frame.payload)
         switch = state.relay_switch
@@ -293,11 +303,6 @@ class Coordinator:
         self._seq = 0
         self._pending: dict[int, deque[int]] = {}
 
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq = (self._seq + 1) & 0xFFFF
-        return seq
-
     def step(self, frames=(), datagrams=()) -> tuple[list[wire.Datagram], list[RadioFrame]]:
         """One translation pass; returns (uplink datagrams, radio frames)."""
         uplink: list[wire.Datagram] = []
@@ -314,18 +319,21 @@ class Coordinator:
 
     def receive_frame(self, frame: RadioFrame) -> wire.Datagram | None:
         """The uplink datagram one frame delivered here becomes, if any."""
-        kind = frame.kind
-        if kind is FrameKind.SENSOR_READING and is_switch_ack(frame.payload):
-            queue = self._pending.get(frame.src)
-            if not queue:
-                return None  # orphan acknowledgment
-            msg_type, seq, payload = wire.MsgType.ACK, queue.popleft(), b""
-        elif kind is FrameKind.SENSOR_READING:
-            msg_type, seq, payload = wire.MsgType.SENSOR_DATA, self._next_seq(), frame.payload
+        kind, payload = frame.kind, frame.payload
+        if kind is FrameKind.SENSOR_READING:
+            if payload.startswith(_SWITCH_ACK):  # is_switch_ack, inline
+                queue = self._pending.get(frame.src)
+                if not queue:
+                    return None  # orphan acknowledgment
+                return _build(wire.Datagram, {"msg_type": wire.MsgType.ACK, "seq": queue.popleft(),
+                                              "src_node": frame.src, "payload": b""})
+            msg_type = wire.MsgType.SENSOR_DATA
         elif kind is FrameKind.ALARM:
-            msg_type, seq, payload = wire.MsgType.ALARM_CID, self._next_seq(), frame.payload
+            msg_type = wire.MsgType.ALARM_CID
         else:
             return None
+        seq = self._seq
+        self._seq = (seq + 1) & 0xFFFF
         return _build(wire.Datagram, {"msg_type": msg_type, "seq": seq,
                                       "src_node": frame.src, "payload": payload})
 
@@ -393,11 +401,13 @@ class SimNetwork:
 
     def inject_alarm(self, node_id: int, digits: str) -> None:
         """Make a node raise a Contact-ID alarm on the next tick; digits that
-        no radio frame can carry are refused here, before the tick."""
+        no radio frame can carry, or that would break the alarm's trace line
+        (a tab, a newline or another control character), are refused here,
+        before the tick."""
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
-        if not digits.isascii():
-            raise InvalidInput(f"alarm digits must be ASCII, got {digits!r}")
+        if not (digits.isascii() and digits.isprintable()):
+            raise InvalidInput(f"alarm digits must be printable ASCII, got {digits!r}")
         self._alarms.append(RadioFrame(src=node_id, dst=self.topology.coordinator,
                                        kind=FrameKind.ALARM, payload=digits.encode("ascii")))
 
@@ -408,55 +418,57 @@ class SimNetwork:
 
     # --- the loop ---------------------------------------------------------
 
-    def _log(self, event: str, src: int, dst: int, detail: str) -> None:
-        self.trace.append((self.now, event, src, dst, detail))
-
     def _send(self, frame: RadioFrame) -> None:
         """Put a routed frame on the air; it reaches route[1] next tick."""
         route = frame.route
         text = self._route_text.get(route)
         if text is None:
             text = self._route_text[route] = "route=" + "-".join(map(str, route))
-        self._log("send", frame.src, frame.dst, f"{frame.kind.trace_detail} {text}")
+        self.trace.append((self.now, "send", frame.src, frame.dst,
+                           f"{frame.kind.trace_detail} {text}"))
         self._in_flight.append(frame)
 
-    def _launch(self, frame: RadioFrame) -> None:
-        """Attach a route to a node-originated frame and put it on the air."""
-        path = self.routes.path(frame.src, frame.dst)
+    def _launch(self, src: int, dst: int, kind: FrameKind, payload: bytes) -> None:
+        """Put a node-originated frame on the air, built once with its route,
+        or drop it when src has no route to dst."""
+        path = self.routes.path(src, dst)
         if path is None:
             self.frames_dropped += 1
-            self._log("drop", frame.src, frame.dst, f"no-route {frame.kind.trace_detail}")
+            self.trace.append((self.now, "drop", src, dst, f"no-route {kind.trace_detail}"))
             return
-        self._send(_build(RadioFrame, {**frame.__dict__, "route": path, "hop_index": 1}))
+        self._send(_build(RadioFrame, {"src": src, "dst": dst, "kind": kind, "payload": payload,
+                                       "route": path, "hop_index": 1}))
 
     def step(self) -> None:
         """Advance one tick: pump the uplink, wake due nodes, raise alarms, then
         deliver the frames sent last tick."""
         arriving, self._in_flight = self._in_flight, []
         datagrams, self._uplink_in = self._uplink_in, []
+        nodes, now, trace = self.nodes, self.now, self.trace
         if datagrams:
             for d in datagrams:
-                self._log("downlink", 0, self.coordinator.node_id,
-                          f"{_TYPE_DETAIL[d.msg_type]}{d.seq}")
+                trace.append((now, "downlink", 0, self.coordinator.node_id,
+                              f"{_TYPE_DETAIL[d.msg_type]}{d.seq}"))
             up, down = self.coordinator.step((), datagrams)
             for d in up:
                 self._uplink(d)
             for frame in down:
                 self._send(frame)
 
-        nodes, now = self.nodes, self.now
         for node_id, state in nodes.items():  # in id order, as __init__ filled it
-            state, frames = node_tick(state, now)
+            if now < state.next_wake:  # hibernating: node_tick would return it as is
+                continue
+            state, payload = _wake(state, now)
             nodes[node_id] = state
-            for frame in frames:
-                self.readings_emitted += 1
-                self._log("wake", node_id, frame.dst, f"reading={state.last_reading}")
-                self._launch(frame)
+            self.readings_emitted += 1
+            dst = state.coordinator
+            trace.append((now, "wake", node_id, dst, f"reading={state.last_reading}"))
+            self._launch(node_id, dst, FrameKind.SENSOR_READING, payload)
 
         alarms, self._alarms = self._alarms, []
         for frame in alarms:
-            self._log("alarm", frame.src, frame.dst, frame.payload.decode("ascii"))
-            self._launch(frame)
+            trace.append((now, "alarm", frame.src, frame.dst, frame.payload.decode("ascii")))
+            self._launch(frame.src, frame.dst, frame.kind, frame.payload)
 
         for frame in arriving:
             self._deliver(frame)
@@ -466,7 +478,7 @@ class SimNetwork:
     def _deliver(self, frame: RadioFrame) -> None:
         holder = frame.route[frame.hop_index]
         if holder == self.coordinator.node_id:
-            self._log("deliver", frame.src, holder, frame.kind.trace_detail)
+            self.trace.append((self.now, "deliver", frame.src, holder, frame.kind.trace_detail))
             d = self.coordinator.receive_frame(frame)
             if d is not None:
                 self._uplink(d)
@@ -475,14 +487,16 @@ class SimNetwork:
         self.nodes[holder] = state
         for out in frames:
             if out.route:
-                self._log("relay", holder, out.route[out.hop_index], out.kind.trace_detail)
+                self.trace.append((self.now, "relay", holder, out.route[out.hop_index],
+                                   out.kind.trace_detail))
                 self._in_flight.append(out)
             else:  # a switch acknowledgment, the only frame a node answers with
-                self._log("switch", holder, out.dst, f"state={state.relay_switch.value}")
-                self._launch(out)
+                self.trace.append((self.now, "switch", holder, out.dst,
+                                   f"state={state.relay_switch.value}"))
+                self._launch(out.src, out.dst, out.kind, out.payload)
 
     def _uplink(self, d: wire.Datagram) -> None:
-        self._log("uplink", d.src_node, 0, f"{_TYPE_DETAIL[d.msg_type]}{d.seq}")
+        self.trace.append((self.now, "uplink", d.src_node, 0, f"{_TYPE_DETAIL[d.msg_type]}{d.seq}"))
         self.uplink_out.append(d)
 
     def drain_uplink(self) -> list[wire.Datagram]:

@@ -587,8 +587,39 @@ def test_sample_period_below_one_raises_at_construction(table1_topology, period)
 def test_launch_attaches_the_route_replace_would(table1_topology):
     net = build_net(table1_topology)
     frame = RadioFrame(src=7, dst=1, kind=FrameKind.ALARM, payload=b"1234181131010158")
-    net._launch(frame)
+    net._launch(frame.src, frame.dst, frame.kind, frame.payload)
     assert net._in_flight == [routed_by_replace(frame, net.routes.path(7, 1))]
+
+
+def test_step_wakes_only_the_nodes_that_are_due(table1_topology, monkeypatch):
+    woken = []
+    original = simnet._wake
+
+    def counted(state, now):
+        woken.append((state.id, now))
+        return original(state, now)
+
+    def refused(state, now):
+        raise AssertionError("step called node_tick")
+
+    monkeypatch.setattr(simnet, "_wake", counted)
+    monkeypatch.setattr(simnet, "node_tick", refused)
+    net = SimNetwork(table1_topology, 5, sample_period=50)
+    net.run(200)
+    assert len(woken) == net.readings_emitted == 9 * 4
+    assert woken == [(node, now) for now in (0, 50, 100, 150) for node in range(2, 11)]
+
+
+@given(state=st.builds(NodeState, **{**NODE_FIELDS, "id": st.just(2), "coordinator": st.just(1)}),
+       now=st.integers(0, 2000))
+def test_step_wakes_a_node_as_node_tick_does(state, now):
+    # one sensor, node 2, one hop from the coordinator
+    net = SimNetwork(Topology(table=validate_table([[0, 3], [3, 0]])), radius=5)
+    net.nodes[2], net.now = state, now
+    net.step()
+    woken, frames = node_tick(state, now)
+    assert net.nodes[2] == woken
+    assert net._in_flight == [routed_by_replace(frame, net.routes.path(2, 1)) for frame in frames]
 
 
 def test_network_delivers_every_reachable_reading(table1_topology):
@@ -718,8 +749,9 @@ def test_network_alarm_unknown_node(table1_topology):
         net.inject_alarm(99, "1234181131010158")
 
 
-@pytest.mark.parametrize("digits", ["1" * (simnet.MAX_FRAME_PAYLOAD + 1), "12341811310101é8"],
-                         ids=["too-long", "non-ascii"])
+@pytest.mark.parametrize("digits", ["1" * (simnet.MAX_FRAME_PAYLOAD + 1), "12341811310101é8",
+                                    "1234\t18\n1131", "1234181131010158\n"],
+                         ids=["too-long", "non-ascii", "tab", "newline"])
 def test_network_refuses_alarm_digits_no_frame_can_carry(table1_topology, digits):
     net = SimNetwork(table1_topology, 5, sample_period=1)
     net.run(1)
@@ -797,3 +829,44 @@ def test_long_run_is_byte_stable(table1_topology):
     assert (digest("\n".join(net.trace_lines()).encode()), digest(bytes(uplink)),
             digest(repr(sorted(net.nodes.items())).encode())) == (
         LONG_RUN_TRACE, LONG_RUN_UPLINK, LONG_RUN_NODES)
+
+
+# sha256 of the 200-tick run below, recorded before the tick loop stopped
+# calling node_tick on sleeping nodes
+DROP_RUN_TRACE = "61575b4cb354ca407fc4e34ce243fa17d0d87da5b374d4c94a9649808b0fad48"
+DROP_RUN_UPLINK = "18df8abb1d8d206b5172a4b936e867caeee7dc7af2d040727f4b8e5f151197f8"
+DROP_RUN_NODES = "ab4b412e5abbf3accd7257c1725a4afe14fad2054a4b88cffc9c8c0f26e264c3"
+
+
+def test_run_with_drops_is_byte_stable(table1_topology):
+    # at radius 3 only nodes 2 and 3 reach the coordinator: the readings and
+    # the alarm of nodes 4-10 are dropped and a command to node 8 is NACKed
+    net = SimNetwork(table1_topology, 3, seed=5, sample_period=7)
+    net.run_discovery()
+    assert [v for v in sorted(net.nodes) if net.routes.path(v, 1) is not None] == [2, 3]
+    inputs = {
+        10: lambda: net.inject_datagram(wire.Datagram(
+            wire.MsgType.COMMAND, 1, 8, wire.encode_command_payload(8, wire.SwitchOpcode.SWITCH_ON))),
+        20: lambda: net.inject_datagram(wire.Datagram(
+            wire.MsgType.COMMAND, 2, 2, wire.encode_command_payload(2, wire.SwitchOpcode.SWITCH_ON))),
+        30: lambda: net.inject_alarm(9, "1234181131010158"),
+        40: lambda: net.inject_alarm(3, "1234113101020160"),
+    }
+    uplink = bytearray()
+    for tick in range(200):
+        if tick in inputs:
+            inputs[tick]()
+        net.step()
+        uplink += b"".join(wire.encode_datagram(d) for d in net.drain_uplink())
+    lines = net.trace_lines()
+    assert sum(line.split("\t")[1] == "drop" for line in lines) == net.frames_dropped > 0
+    assert "10\tuplink\t8\t0\ttype=NACK seq=1" in lines
+    assert "30\tdrop\t9\t1\tno-route kind=alarm" in lines
+    assert net.nodes[2].relay_switch is SwitchState.ON
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert (digest("\n".join(lines).encode()), digest(bytes(uplink)),
+            digest(repr(sorted(net.nodes.items())).encode())) == (
+        DROP_RUN_TRACE, DROP_RUN_UPLINK, DROP_RUN_NODES)

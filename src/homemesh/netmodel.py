@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -84,12 +85,26 @@ def _points(positions) -> tuple[Position, ...]:
     return pts
 
 
+# each live positions table by its checked points: a Topology built from
+# positions compares its table with the one derived from them, and
+# topology_from_positions derived that one a moment before. Held weakly, so a
+# table goes with its last Topology
+_position_tables: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def table_from_positions(positions) -> DistanceTable:
     """Pairwise Euclidean distance table for planar node positions.
 
     Output is exactly symmetric with a zero diagonal; distances are unrounded.
     """
     pts = _points(positions)
+    table = _position_tables.get(pts)
+    if table is None:
+        table = _position_tables[pts] = _euclidean_table(pts)
+    return table
+
+
+def _euclidean_table(pts: tuple[Position, ...]) -> DistanceTable:
     n = len(pts)
     cost = [[0.0] * n for _ in range(n)]
     inf = math.inf  # a local: the overflow test runs once per pair

@@ -5,18 +5,20 @@ paths the winner minimizes, in lexicographic order: total distance, then hop
 count, then the node-id sequence itself. The hop tie-break is what makes a
 two-hop route beat an equally long three-hop one.
 
-One label search serves both kinds of query. find_optimal_path stops it when
-the destination is settled; shortest_path_tree runs it until the heap is
-empty and returns every node's route from the source. The two agree exactly,
+One label search serves every query. It settles labels into a list its
+caller owns and can pause once a given node is settled and be resumed later:
+find_optimal_path asks it one destination; shortest_path_tree runs it to its
+end and returns every node's route from the source. The two agree exactly,
 float ties included: a label, once settled, is never changed by the rest of
-the search, so stopping early only leaves later nodes unsettled. A label is
-(dist, hops, node, parent), where parent is the label it extends, so a
-relaxation copies no path and labels share their prefixes. Node sequences
-are compared only between labels of one node that tie on hops and on
-distance, or come within rounding of it, by walking both parent chains.
+the search, so pausing or stopping early only leaves later nodes unsettled.
+A label is (dist, hops, node, parent), where parent is the label it extends,
+so a relaxation copies no path and labels share their prefixes. Node
+sequences are compared only between labels of one node that tie on hops and
+on distance, or come within rounding of it, by walking both parent chains.
 Routes is the one owner of searches: callers that route many pairs on a
-table at a radius ask one Routes object, which searches from each source on
-first use and reads each path out of its labels once.
+table at a radius ask one Routes object, which keeps one paused search per
+source, resumes it only as far as each pair asks, and reads each path out of
+its labels once.
 
 The all-pairs profile never walks the n(n-1) paths. A route extends its
 parent label's route, which is its node-before-last's own route but where
@@ -29,8 +31,9 @@ source's paths, serves drawn traffic, where pairs repeat.
 
 A Routes builds one radius-pruned adjacency, each node's (next node, cost)
 pairs within the radius, with its first search and shares it with every
-later one, so a search costs n times the degree instead of n squared. A
-single find_optimal_path query keeps the row scan: it settles only part of
+later one, so a search costs n times the degree instead of n squared, and
+walks only usable edges, testing none against the radius. A single
+find_optimal_path query keeps the row scan: it settles only part of
 the net, and building the adjacency for it costs more than the scan it
 saves.
 """
@@ -131,9 +134,23 @@ def _path(label) -> tuple[int, ...]:
     return tuple(nodes)
 
 
-def _label_search(table: DistanceTable, src: int, radius: float, edges=None,
-                  stop: int | None = None) -> list[tuple | None]:
-    """The (dist, hops, node, parent) label settled for each node id, None if unreached.
+def _label_search(table: DistanceTable, src: int, radius: float,
+                  settled: list[tuple | None], edges=None):
+    """Settle each node's (dist, hops, node, parent) label into `settled`, pausing on request.
+
+    A generator. `settled` is the caller's list, n + 1 entries of None; the
+    search writes each node's label there as it settles it and leaves None
+    for nodes it never reaches. It pauses first once the source is settled,
+    so the first next() settles the source. Each later resume sends the node
+    to pause at next: the search runs on until that node is settled and
+    pauses again, or runs until the heap is empty and ends (StopIteration)
+    when the node is unreachable or the sent value is None. The node sent
+    must not be settled yet, or the search runs to its end. A search that
+    would pause with every node settled ends instead, as nothing left in
+    its heap can settle one, so a caller that asks every node of a connected
+    net need not resume it again to let it go. A paused search resumes
+    exactly where it stopped, so every label it settles is the one a search
+    run to its end in one go settles.
 
     Dijkstra over the radius-pruned edge set with composite labels: a label
     orders as (distance so far, hops so far, node sequence), and the first
@@ -143,9 +160,7 @@ def _label_search(table: DistanceTable, src: int, radius: float, edges=None,
     the label tuples as they are, so two labels of one node that tie exactly
     on (dist, hops) may pop in either order. Only the one whose sequence wins
     (_precedes) is `queued` for the node, so a popped label that is not its
-    unsettled node's queued one lost that tie and is skipped. The search
-    returns as soon as `stop` is settled; without a stop it settles every
-    reachable node.
+    unsettled node's queued one lost that tie and is skipped.
 
     A route's distance is its hop costs added in path order, and float
     addition rounds, so a prefix that loses on distance can tie once a hop
@@ -164,21 +179,24 @@ def _label_search(table: DistanceTable, src: int, radius: float, edges=None,
     expands its first label only and there are no detours.
 
     A settled node's out-edges come from `edges[node]`, a list of (next node,
-    cost) pairs in id order, when an adjacency is given, and from a scan of
-    its whole cost row otherwise; the two offer the same usable edges in the
-    same order, but for the self edge, which the scan offers and which never
-    wins.
+    cost) pairs within the radius in id order, when an adjacency is given,
+    and from a scan of its whole cost row, each cost tested against the
+    radius, otherwise; the two offer the same usable edges in the same order,
+    but for the self edge, which the scan offers and which never wins. The
+    two loops share one relaxation, written out in each: on the adjacency a
+    radius test per edge is dead work, and on the scan a call per edge or a
+    pruned copy of each row costs more than the test it saves.
     """
     cost = table.cost
     n = table.n
     tol = (n + 1) * math.ulp(2 * n * min(radius, table.max_cost))
-    settled: list[tuple | None] = [None] * (n + 1)
     queued: list[tuple | None] = [None] * (n + 1)
     front: list[tuple | None] = [None] * (n + 1)
     limit = [math.inf] * (n + 1)
     label = queued[src] = front[src] = (0.0, 0, src, None)
     limit[src] = tol
     heap = [label]
+    stop = src
     while heap:
         label = heapq.heappop(heap)
         dist, hops, node, _ = label
@@ -187,7 +205,9 @@ def _label_search(table: DistanceTable, src: int, radius: float, edges=None,
                 continue
             settled[node] = label
             if node == stop:
-                break
+                if settled.count(None) == 1:  # entry 0 only: every node is settled
+                    return
+                stop = yield
         else:
             least = front[node]
             if dist > limit[node] or not (hops < least[1] or hops == least[1]
@@ -195,8 +215,8 @@ def _label_search(table: DistanceTable, src: int, radius: float, edges=None,
                 continue
             front[node] = label
         next_hops = hops + 1
-        for nxt, edge in (enumerate(cost[node - 1], 1) if edges is None else edges[node]):
-            if edge <= radius:
+        if edges is not None:
+            for nxt, edge in edges[node]:
                 next_dist = dist + edge
                 if next_dist <= limit[nxt]:
                     best = queued[nxt]
@@ -213,19 +233,52 @@ def _label_search(table: DistanceTable, src: int, radius: float, edges=None,
                         if next_dist == best[0]:
                             queued[nxt] = front[nxt] = candidate
                         heapq.heappush(heap, candidate)
+            continue
+        for nxt, edge in enumerate(cost[node - 1], 1):
+            if edge <= radius:
+                next_dist = dist + edge
+                if next_dist <= limit[nxt]:
+                    best = queued[nxt]
+                    if best is None or next_dist < best[0]:
+                        queued[nxt] = front[nxt] = candidate = (next_dist, next_hops, nxt, label)
+                        limit[nxt] = next_dist + tol
+                        heapq.heappush(heap, candidate)
+                        continue
+                    least = front[nxt]
+                    if next_hops < least[1] or next_hops == least[1] and _precedes(label, least[3]):
+                        candidate = (next_dist, next_hops, nxt, label)
+                        if next_dist == best[0]:
+                            queued[nxt] = front[nxt] = candidate
+                        heapq.heappush(heap, candidate)
+
+
+def _settle_all(table: DistanceTable, src: int, radius: float, edges=None) -> list[tuple | None]:
+    """Every node's settled label from src, one search run to its end."""
+    settled: list[tuple | None] = [None] * (table.n + 1)
+    for _ in _label_search(table, src, radius, settled, edges):
+        pass  # the only pause, at the source, is resumed with None: run to the end
     return settled
 
 
 def find_optimal_path(table: DistanceTable, query: RouteQuery) -> Route:
     """Best route by (dist, hops, path) order, every hop within the radius.
 
-    One label search from the source that stops when the destination is
-    settled. Costs are read in travel direction; directed tables are fine.
+    The one label search from the source, asked one destination: it runs
+    until the destination is settled and is then dropped. Costs are read in
+    travel direction; directed tables are fine.
 
     Raises NoPath when the destination is unreachable under the radius.
     """
     _check_query(table, query)
-    label = _label_search(table, query.src, query.radius, stop=query.dst)[query.dst]
+    settled: list[tuple | None] = [None] * (table.n + 1)
+    search = _label_search(table, query.src, query.radius, settled)
+    try:
+        next(search)  # settles the source
+        if settled[query.dst] is None:
+            search.send(query.dst)
+    except StopIteration:  # the search ended: it settled every node it reaches
+        pass
+    label = settled[query.dst]
     if label is None:
         raise NoPath(query.src, query.dst, query.radius)
     return Route(_path(label), label[0], label[1])
@@ -240,7 +293,7 @@ def shortest_path_tree(table: DistanceTable, src: int,
     """
     table.check_node(src)
     _check_radius(radius)
-    return [label and _path(label) for label in _label_search(table, src, radius)]
+    return [label and _path(label) for label in _settle_all(table, src, radius)]
 
 
 _UNREAD = object()  # a Routes path entry not yet read out of its labels
@@ -250,39 +303,65 @@ class Routes:
     """Best routes on one table at one radius, one search per source on demand.
 
     path(src, dst) is the path find_optimal_path returns for (src, dst,
-    radius), or None when dst is unreachable. A source's search runs on its
-    first pair and its settled labels are kept for the life of the object,
-    as is each path, read out of them on its first pair. Traffic asks a few
-    destinations per source, so reading out only those costs less than
-    reading out every one. labels(src) hands out the kept labels, or
-    runs a search it does not keep, for a caller that reads each source
-    once. The first search also builds the radius-pruned adjacency that
-    every search then walks: entry v lists the (next node, cost) pairs of
-    v's cost row within the radius, v itself left out.
+    radius), or None when dst is unreachable. A source's search starts on
+    its first pair and runs only until that pair's destination is settled;
+    it is kept paused there, and a later pair resumes it only when its
+    destination is not settled yet. Traffic asks a few destinations per
+    source, so most of each search is never run. A search that ends, its
+    heap empty or every node settled, is dropped, and with it its heap and
+    per-node state. The settled labels are kept for the life of the object,
+    as is each path, read out of them on its first pair. labels(src) runs a
+    kept search to its end and hands out its labels, or runs a search it
+    does not keep, for a caller that reads each source once. The first
+    search also builds the radius-pruned adjacency that every search then
+    walks: entry v lists the (next node, cost) pairs of v's cost row within
+    the radius, v itself left out.
     """
 
     def __init__(self, table: DistanceTable, radius: float):
         _check_radius(radius)
         self.table = table
         self.radius = radius
+        # per source, the labels settled so far, its paused search (None once
+        # it ended), and each destination's path, None, or _UNREAD
         self._labels: list[list[tuple | None] | None] = [None] * (table.n + 1)
-        # per source, each destination's path, None, or _UNREAD
+        self._searches: list = [None] * (table.n + 1)
         self._paths: list[list | None] = [None] * (table.n + 1)
         self._edges: list[list[tuple[int, float]]] | None = None
 
+    def _adjacency(self) -> list[list[tuple[int, float]]]:
+        if self._edges is None:
+            radius = self.radius
+            self._edges = [[]] + [
+                [(nxt, edge) for nxt, edge in enumerate(row, 1)
+                 if edge <= radius and nxt != node]
+                for node, row in enumerate(self.table.cost, 1)
+            ]
+        return self._edges
+
+    def _resume(self, src: int, stop: int | None) -> None:
+        """Send `stop` to src's search: run it until stop is settled, to its end for None.
+
+        A search that raised reads as ended when resumed, so the nodes it
+        never settled would read as unreachable: on an error src's labels,
+        paths and search are all dropped, and its next pair starts over.
+        """
+        try:
+            self._searches[src].send(stop)
+        except StopIteration:
+            self._searches[src] = None
+        except BaseException:
+            self._labels[src] = self._paths[src] = self._searches[src] = None
+            raise
+
     def labels(self, src: int) -> list[tuple | None]:
-        """src's settled labels, as _label_search returns them: the kept ones, else new ones."""
+        """src's settled label for every node: the kept ones, else those of a search not kept."""
         self.table.check_node(src)
         labels = self._labels[src]
         if labels is None:
-            if self._edges is None:
-                radius = self.radius
-                self._edges = [[]] + [
-                    [(nxt, edge) for nxt, edge in enumerate(row, 1)
-                     if edge <= radius and nxt != node]
-                    for node, row in enumerate(self.table.cost, 1)
-                ]
-            labels = _label_search(self.table, src, self.radius, self._edges)
+            return _settle_all(self.table, src, self.radius, self._adjacency())
+        if self._searches[src] is not None:
+            self._resume(src, None)
         return labels
 
     def path(self, src: int, dst: int) -> tuple[int, ...] | None:
@@ -294,11 +373,17 @@ class Routes:
             self.table.check_node(dst)
         paths = self._paths[src]
         if paths is None:
-            self._labels[src] = self.labels(src)
             paths = self._paths[src] = [_UNREAD] * (n + 1)
+            labels = self._labels[src] = [None] * (n + 1)
+            self._searches[src] = _label_search(self.table, src, self.radius, labels,
+                                                self._adjacency())
+            self._resume(src, None)  # a new search first runs until src is settled
         path = paths[dst]
         if path is _UNREAD:
-            label = self._labels[src][dst]
+            labels = self._labels[src]
+            if labels[dst] is None and self._searches[src] is not None:
+                self._resume(src, dst)
+            label = labels[dst]
             path = paths[dst] = label and _path(label)
         return path
 

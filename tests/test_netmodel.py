@@ -1,10 +1,13 @@
+import gc
 import json
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homemesh import netmodel
 from homemesh.errors import AsymmetricTable, InvalidInput, UnknownNode
 from homemesh.netmodel import (
     REFERENCE_MATRIX,
@@ -15,6 +18,7 @@ from homemesh.netmodel import (
     parse_topology,
     reference_topology,
     table_from_positions,
+    topology_from_positions,
     validate_table,
 )
 
@@ -229,6 +233,24 @@ def test_topology_table_must_be_exactly_the_positions_table():
         Topology(table=validate_table(rows), positions=positions)
     with pytest.raises(InvalidInput):
         Topology(table=exact, positions=positions[:2])
+
+
+def test_topology_from_positions_builds_its_table_once(monkeypatch):
+    builds = []
+    build = netmodel._euclidean_table
+    monkeypatch.setattr(netmodel, "_euclidean_table", lambda pts: builds.append(pts) or build(pts))
+    positions = [(float(i), float(i * i % 7)) for i in range(12)]
+    topology = topology_from_positions(positions)
+    assert len(builds) == 1
+    assert topology.table == build(builds[0])
+
+
+def test_positions_table_goes_with_its_last_topology():
+    topology = topology_from_positions([(0.5, 0.25), (3.5, 4.25), (1.5, 9.0)])
+    table = weakref.ref(topology.table)
+    del topology
+    gc.collect()
+    assert table() is None
 
 
 @pytest.mark.parametrize("coordinator", [1.5, True])

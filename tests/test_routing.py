@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from homemesh import routing
 from homemesh.errors import (
     InstanceTooLarge,
     InvalidInput,
@@ -480,6 +481,54 @@ def test_exact_tie_pushed_second_wins_on_node_sequence():
     assert routes.path(1, 6) == (1, 2, 5, 6)
 
 
+@given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+@example(ROUNDING_ROWS, 0.3, 0)
+@example(ROUNDING_ROWS, 0.3, 1)
+@example(TIED_ROWS, 4, 0)
+@example(TIED_ROWS, 4, 1)
+def test_paused_searches_change_no_route(rows, radius, seed):
+    # pairs in a drawn order pause and resume each source's search at drawn
+    # nodes; labels() then runs the paused searches to their end
+    table = DistanceTable.from_rows(rows)
+    trees = {src: shortest_path_tree(table, src, radius) for src in table.nodes}
+    pairs = list(itertools.product(table.nodes, repeat=2))
+    rng = random.Random(seed)
+    rng.shuffle(pairs)
+    asked = rng.randrange(len(pairs) + 1)
+    routes = Routes(table, radius)
+    for src, dst in pairs[:asked]:
+        assert routes.path(src, dst) == trees[src][dst]
+    fresh = Routes(table, radius)
+    for src in table.nodes:
+        assert routes.labels(src) == fresh.labels(src)
+    for src, dst in pairs[asked:]:
+        assert routes.path(src, dst) == trees[src][dst]
+
+
+def test_a_search_that_raised_starts_over(monkeypatch):
+    # from 1, _precedes first runs when 5 is expanded and ties 6's two routes
+    table = DistanceTable.from_rows(TIED_ROWS)
+    precedes = routing._precedes
+    raised = []
+
+    def raise_once(a, b):
+        if not raised:
+            raised.append((a, b))
+            raise RuntimeError("injected")
+        return precedes(a, b)
+
+    monkeypatch.setattr(routing, "_precedes", raise_once)
+    routes = Routes(table, 4)
+    assert routes.path(1, 2) == (1, 2)  # pauses 1's search before 5 is expanded
+    with pytest.raises(RuntimeError):
+        routes.path(1, 6)
+    assert raised
+    for src in table.nodes:
+        for dst in table.nodes:
+            assert routes.path(src, dst) == brute_force_route(table, RouteQuery(src, dst, 4)).path
+
+
 def test_tree_validation(table1):
     with pytest.raises(UnknownNode):
         shortest_path_tree(table1, 11, 5)
@@ -513,6 +562,32 @@ def test_routes_build_one_tree_per_source(table1, tree_calls):
             for dst in table1.nodes:
                 routes.path(src, dst)
     assert tree_calls == list(table1.nodes)
+    # each source's nearest destinations pause its search, the farthest
+    # resume it, and the fold over every source runs it to its end, as
+    # simulate does after its traffic
+    tree_calls.clear()
+    routes = Routes(table1, 5)
+    by_distance = {src: sorted(table1.nodes, key=lambda dst: table1.cost[src - 1][dst - 1])
+                   for src in table1.nodes}
+    for src in table1.nodes:
+        for dst in by_distance[src][:3]:
+            routes.path(src, dst)
+    assert any(routes._searches)  # some are paused
+    for src in table1.nodes:
+        for dst in by_distance[src][-2:]:
+            routes.path(src, dst)
+    tally_all_pairs(routes, CountingMode.TRANSMITTERS_ONLY)
+    assert tree_calls == list(table1.nodes)
+
+
+@pytest.mark.parametrize("radius", [1, 4, 5])
+def test_finished_searches_release_their_state(table1, radius):
+    # at radius 1 nothing is reachable, at 4 and 5 everything is
+    routes = Routes(table1, radius)
+    for src in table1.nodes:
+        for dst in table1.nodes:
+            routes.path(src, dst)
+    assert not any(routes._searches)
 
 
 @pytest.mark.parametrize("radius", [float("nan"), -1, -0.5])

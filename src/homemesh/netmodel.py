@@ -85,10 +85,10 @@ def _points(positions) -> tuple[Position, ...]:
     return pts
 
 
-# each live positions table by its checked points: a Topology built from
-# positions compares its table with the one derived from them, and
-# topology_from_positions derived that one a moment before. Held weakly, so a
-# table goes with its last Topology
+# each live positions table, keyed by its checked points: the Topology that
+# topology_from_positions builds checks its table against the table of the
+# same points, which is found here instead of built again. Held weakly, so a
+# table goes with its last holder
 _position_tables: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 

@@ -51,7 +51,6 @@ from .simnet import (
     SplitMix64,
     SwitchState,
     node_on_receive,
-    node_tick,
     run_discovery,
     run_traffic,
 )

@@ -31,7 +31,7 @@ from .routing import (
     tally_all_pairs,
     tally_pairs,
 )
-from .simnet import FrameKind, SimConfig, SimNetwork, draw_pairs, run_discovery, trace_line
+from .simnet import SimConfig, SimNetwork, draw_pairs, run_discovery, trace_line
 
 
 def _fmt(value: float) -> str:
@@ -360,12 +360,9 @@ def cmd_demo(args) -> int:
             ticket = service.dispatch_command(args.target, wire.SwitchOpcode.SWITCH_ON)
             _pump(net, sock, decoder, args.ticks,
                   until=lambda: ticket.state in monitor.TERMINAL_STATES)
-            # the last command send's detail: "kind=command route=1-5-10"
-            command_detail = FrameKind.COMMAND.trace_detail + " "
-            last_send = next((detail for _tick, event, _src, _dst, detail in reversed(net.trace)
-                              if event == "send" and detail.startswith(command_detail)), None)
-            if last_send is not None:
-                print(f"command route: {last_send.rsplit('route=', 1)[-1]}")
+            if ticket.state is monitor.TicketState.ACKED:
+                route = net.routes.path(topology.coordinator, args.target)
+                print(f"command route: {'-'.join(map(str, route))}")
             print(f"switch command to node {args.target}: {ticket.state.value}")
             if ticket.state is not monitor.TicketState.ACKED:
                 failures.append(f"command {ticket.state.value}")

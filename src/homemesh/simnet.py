@@ -183,21 +183,6 @@ def _wake(state: NodeState, now: int) -> tuple[NodeState, bytes]:
     return new_state, READING_PAYLOAD.pack(now, reading)
 
 
-def node_tick(state: NodeState, now: int) -> tuple[NodeState, list[RadioFrame]]:
-    """Advance the duty cycle: a due node samples once, emits one reading
-    addressed to its coordinator, and hibernates until next_wake + period.
-
-    The reading's frame has no route yet. SimNetwork.step wakes nodes through
-    the same duty cycle and launches each reading already routed."""
-    if now < state.next_wake:
-        return state, []
-    new_state, payload = _wake(state, now)
-    frame = _build(RadioFrame, {"src": state.id, "dst": state.coordinator,
-                                "kind": FrameKind.SENSOR_READING, "payload": payload,
-                                "route": (), "hop_index": 0})
-    return new_state, [frame]
-
-
 def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, list[RadioFrame]]:
     """Interrupt path: relay a frame onward, or consume one addressed here.
 
@@ -288,8 +273,9 @@ def run_traffic(topology: Topology, config: SimConfig) -> VisitStats:
 
 
 class Coordinator:
-    """Mesh-to-uplink bridge: radio frames become datagrams and command
-    datagrams become routed radio frames.
+    """Mesh-to-uplink bridge, one message at a time: a radio frame becomes a
+    datagram (receive_frame) and a command datagram a routed radio frame
+    (receive_datagram).
 
     Sensor and alarm payloads cross the bridge byte-for-byte. Command
     acknowledgments are correlated FIFO per target node, so the uplink ACK
@@ -302,20 +288,6 @@ class Coordinator:
         self.node_id = node_id
         self._seq = 0
         self._pending: dict[int, deque[int]] = {}
-
-    def step(self, frames=(), datagrams=()) -> tuple[list[wire.Datagram], list[RadioFrame]]:
-        """One translation pass; returns (uplink datagrams, radio frames)."""
-        uplink: list[wire.Datagram] = []
-        downlink: list[RadioFrame] = []
-        for frame in frames:
-            d = self.receive_frame(frame)
-            if d is not None:
-                uplink.append(d)
-        for datagram in datagrams:
-            up, down = self._handle_datagram(datagram)
-            uplink.extend(up)
-            downlink.extend(down)
-        return uplink, downlink
 
     def receive_frame(self, frame: RadioFrame) -> wire.Datagram | None:
         """The uplink datagram one frame delivered here becomes, if any."""
@@ -337,9 +309,11 @@ class Coordinator:
         return _build(wire.Datagram, {"msg_type": msg_type, "seq": seq,
                                       "src_node": frame.src, "payload": payload})
 
-    def _handle_datagram(self, d: wire.Datagram) -> tuple[list[wire.Datagram], list[RadioFrame]]:
+    def receive_datagram(self, d: wire.Datagram) -> RadioFrame | wire.Datagram | None:
+        """The one message a monitor datagram becomes: a COMMAND's routed
+        frame, the NACK of a COMMAND that cannot be routed, or None."""
         if d.msg_type is not wire.MsgType.COMMAND:
-            return [], []  # monitor-side ACK/NACK of our uplink traffic
+            return None  # monitor-side ACK/NACK of our uplink traffic
         try:
             target, _opcode = wire.decode_command_payload(d.payload)
         except InvalidInput:
@@ -348,14 +322,14 @@ class Coordinator:
             inside = 1 <= target <= self.routes.table.n and target != self.node_id
             path = self.routes.path(self.node_id, target) if inside else None
         if path is None:  # undecodable, outside the mesh, or out of reach
-            return [_build(wire.Datagram, {"msg_type": wire.MsgType.NACK, "seq": d.seq,
-                                           "src_node": target, "payload": b""})], []
+            return _build(wire.Datagram, {"msg_type": wire.MsgType.NACK, "seq": d.seq,
+                                          "src_node": target, "payload": b""})
         frame = _build(RadioFrame, {"src": self.node_id, "dst": target,
                                     "kind": FrameKind.COMMAND,
                                     "payload": d.payload,  # preserved byte-for-byte
                                     "route": path, "hop_index": 1})
         self._pending.setdefault(target, deque()).append(d.seq)
-        return [], [frame]
+        return frame
 
 
 class SimNetwork:
@@ -449,14 +423,17 @@ class SimNetwork:
             for d in datagrams:
                 trace.append((now, "downlink", 0, self.coordinator.node_id,
                               f"{_TYPE_DETAIL[d.msg_type]}{d.seq}"))
-            up, down = self.coordinator.step((), datagrams)
-            for d in up:
-                self._uplink(d)
-            for frame in down:
-                self._send(frame)
+            # a tick's trace keeps its phases: every NACK uplink before any command send
+            replies = [self.coordinator.receive_datagram(d) for d in datagrams]
+            for reply in replies:
+                if isinstance(reply, wire.Datagram):
+                    self._uplink(reply)
+            for reply in replies:
+                if isinstance(reply, RadioFrame):
+                    self._send(reply)
 
         for node_id, state in nodes.items():  # in id order, as __init__ filled it
-            if now < state.next_wake:  # hibernating: node_tick would return it as is
+            if now < state.next_wake:  # hibernating
                 continue
             state, payload = _wake(state, now)
             nodes[node_id] = state

@@ -11,12 +11,12 @@ import time
 
 import pytest
 
-from homemesh import monitor, wire
+from homemesh import cli, monitor, wire
 from homemesh.cli import main, run_experiment
 from homemesh.errors import InvalidInput
 from homemesh.monitor import serve
 from homemesh.netmodel import load_topology, topology_from_positions
-from homemesh.routing import CountingMode
+from homemesh.routing import CountingMode, Route
 
 from conftest import REPO_ROOT, TABLE1_PATH
 
@@ -54,6 +54,16 @@ def test_route_oracle_agrees(capsys):
                        "--from", "4", "--to", "9", "--k", "5", "--oracle")
     assert code == 0
     assert "path: 4 -> 3 -> 6 -> 9" in out
+
+
+def test_route_oracle_divergence_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_force_route", lambda table, query: Route((4, 5, 9), 13.0, 2))
+    code, out, err = run(capsys, "route", "--topology", TABLE1,
+                         "--from", "4", "--to", "9", "--k", "5", "--oracle")
+    assert code == 1
+    assert out == ""
+    assert err == ("divergence: search (4, 3, 6, 9) dist=12 hops=3"
+                   " vs enumeration (4, 5, 9) dist=13 hops=2\n")
 
 
 def test_route_no_path_is_domain_error(capsys):

@@ -103,6 +103,9 @@ def test_store_append_and_query(tmp_path):
     records, cursor = store.query()
     assert records == [record]
     assert cursor is None
+    for missing in (0, record_id + 1):
+        with pytest.raises(InvalidInput):
+            store.record(missing)
     store.close()
 
 
@@ -475,13 +478,25 @@ def _delete_the_file(path, cols):
     path.with_name(path.name + ".cols").unlink()
 
 
+def _cut_the_header(path, cols):
+    path.with_name(path.name + ".cols").write_bytes(cols[:monitor._COLS_HEADER.size - 1])
+
+
+def _put_a_directory_there(path, cols):
+    _delete_the_file(path, cols)
+    path.with_name(path.name + ".cols").mkdir()
+
+
 @pytest.mark.parametrize("reason, spoil", [
     ("missing", _delete_the_file),
     ("stale", _cut_the_log),
     ("stale", _restamp_the_first_record),
     ("damaged", _flip_a_column_byte),
+    ("damaged", _cut_the_header),
+    ("damaged", _put_a_directory_there),
     ("foreign", _swap_the_byte_order),
-], ids=["missing", "stale-cut", "stale-rewritten", "damaged", "foreign"])
+], ids=["missing", "stale-cut", "stale-rewritten", "damaged", "damaged-header", "damaged-directory",
+        "foreign"])
 def test_store_open_logs_why_it_replays_the_whole_log(tmp_path, caplog, reason, spoil):
     path = tmp_path / "s.log"
     spoil(path, bytearray(close_three_heartbeats(path)))

@@ -333,6 +333,16 @@ ROUNDING_ROWS = [
     [0.3, 0.1, 1.0, 0.2, 1.0, 0.0],
 ]
 
+# From 1, 2 settles on (1, 4, 2) at 0.3 + 0.3; (1, 3, 2) at 0.2 + 0.4 rounds one
+# ulp above it over the same hops, so the settled node compares that later label
+# with its own by node sequence. From 2, (2, 4, 1) and (2, 3, 1) do the same
+SETTLED_TIE_ROWS = [
+    [0.0, 0.7, 0.2, 0.3],
+    [0.7, 0.0, 0.4, 0.3],
+    [0.2, 0.4, 0.0, 0.1],
+    [0.3, 0.3, 0.1, 0.0],
+]
+
 
 tied_costs = st.sampled_from([0.1, 0.2, 0.3, 1.0, 1.0, 2.0, 3.0])
 
@@ -355,6 +365,7 @@ def cost_rows(draw):
 @given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]))
 @settings(max_examples=60, deadline=None)
 @example(ROUNDING_ROWS, 0.3)
+@example(SETTLED_TIE_ROWS, 1.0)
 def test_tree_paths_match_enumeration(rows, radius):
     table = DistanceTable.from_rows(rows)
     for src in table.nodes:
@@ -368,6 +379,7 @@ def test_tree_paths_match_enumeration(rows, radius):
 @given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]))
 @settings(max_examples=60, deadline=None)
 @example(ROUNDING_ROWS, 0.3)
+@example(SETTLED_TIE_ROWS, 1.0)
 def test_routes_match_enumeration(rows, radius):
     # Routes searches its radius-pruned adjacency, not the cost rows; directed
     # tables check it reads costs from the sender's row, tied costs that ties

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,6 @@ from homemesh.simnet import (
     draw_pair,
     draw_pairs,
     node_on_receive,
-    node_tick,
     parse_switch_ack,
     run_discovery,
     run_pairs,
@@ -110,41 +110,52 @@ def test_synthetic_reading_is_pure_and_16_bit():
 # --- node state machine -----------------------------------------------------------
 
 
+def one_sensor_net(state: NodeState, now: int) -> SimNetwork:
+    """A network of the coordinator and node 2, one hop apart, at tick `now`
+    with node 2 in `state`."""
+    net = SimNetwork(Topology(table=validate_table([[0, 3], [3, 0]])), radius=5)
+    net.nodes[2], net.now = state, now
+    return net
+
+
 def test_node_tick_asleep():
-    state = NodeState(id=3, sample_period=60, next_wake=100)
-    new, frames = node_tick(state, 50)
-    assert new is state
-    assert frames == []
+    state = NodeState(id=2, sample_period=60, next_wake=100)
+    net = one_sensor_net(state, 50)
+    net.step()
+    assert net.nodes[2] is state
+    assert net._in_flight == []
+    assert net.readings_emitted == 0
 
 
 def test_node_tick_due_emits_one_reading():
-    state = NodeState(id=3, sample_period=60, next_wake=100, coordinator=1, seed=9)
-    new, frames = node_tick(state, 100)
+    state = NodeState(id=2, sample_period=60, next_wake=100, coordinator=1, seed=9)
+    new, payload = simnet._wake(state, 100)
     assert new.next_wake == 160
-    assert new.last_reading == synthetic_reading(3, 100, seed=9)
-    assert len(frames) == 1
-    frame = frames[0]
+    assert new.last_reading == synthetic_reading(2, 100, seed=9)
+    net = one_sensor_net(state, 100)
+    net.step()
+    assert net.nodes[2] == new
+    [frame] = net._in_flight
     assert frame.kind is FrameKind.SENSOR_READING
-    assert (frame.src, frame.dst) == (3, 1)
-    assert frame.route == ()
+    assert (frame.src, frame.dst) == (2, 1)
+    assert frame.payload == payload
+    assert (frame.route, frame.hop_index) == ((2, 1), 1)
 
 
 def test_node_tick_one_frame_per_due_tick():
-    state = NodeState(id=2, sample_period=1, next_wake=10)
-    total = []
-    for now in (10, 11, 12):
-        state, frames = node_tick(state, now)
-        total.extend(frames)
-        assert len(frames) == 1
-    assert len(total) == 3
-    assert state.next_wake == 13
+    net = one_sensor_net(NodeState(id=2, sample_period=1, next_wake=10), 10)
+    for emitted in (1, 2, 3):
+        net.step()
+        assert net.readings_emitted == emitted
+        assert len(net._in_flight) == 1
+    assert net.nodes[2].next_wake == 13
 
 
 def test_node_tick_catches_up_after_long_sleep():
     state = NodeState(id=2, sample_period=10, next_wake=0)
-    state, frames = node_tick(state, 95)
-    assert len(frames) == 1
-    assert state.next_wake > 95
+    state, payload = simnet._wake(state, 95)
+    assert payload == simnet.READING_PAYLOAD.pack(95, state.last_reading)
+    assert state.next_wake == 105
 
 
 def test_relay_advances_hop_index():
@@ -273,12 +284,11 @@ def held_frames(draw, case):
 
 @given(state=st.builds(NodeState, **NODE_FIELDS), now=st.integers(0, 2000))
 def test_node_tick_builds_the_state_replace_would(state, now):
-    new, frames = node_tick(state, now)
-    if now < state.next_wake:
-        assert (new, frames) == (state, [])
-        return
-    assert new == woken_by_replace(state, now, synthetic_reading(state.id, now, state.seed))
-    assert len(frames) == 1
+    now = max(now, state.next_wake)  # _wake runs on due nodes only
+    new, payload = simnet._wake(state, now)
+    reading = synthetic_reading(state.id, now, state.seed)
+    assert new == woken_by_replace(state, now, reading)
+    assert payload == struct.pack(">QH", now, reading)
 
 
 @pytest.mark.parametrize("case", ["relay", "command", "other"])
@@ -483,22 +493,16 @@ def test_coordinator_translates_reading(table1):
     coordinator = Coordinator(table1, 5)
     frame = RadioFrame(src=7, dst=1, kind=FrameKind.SENSOR_READING,
                        payload=b"\x01\x02", route=(7, 1), hop_index=1)
-    up, down = coordinator.step(frames=[frame])
-    assert down == []
-    assert len(up) == 1
-    assert up[0].msg_type is wire.MsgType.SENSOR_DATA
-    assert up[0].src_node == 7
-    assert up[0].payload == b"\x01\x02"
+    assert coordinator.receive_frame(frame) == wire.Datagram(
+        wire.MsgType.SENSOR_DATA, 0, 7, b"\x01\x02")
 
 
 def test_coordinator_routes_command(table1):
     coordinator = Coordinator(table1, 5)
     command = wire.Datagram(wire.MsgType.COMMAND, 77, 10,
                             wire.encode_command_payload(10, wire.SwitchOpcode.SWITCH_ON))
-    up, down = coordinator.step(datagrams=[command])
-    assert up == []
-    assert len(down) == 1
-    frame = down[0]
+    frame = coordinator.receive_datagram(command)
+    assert isinstance(frame, RadioFrame)
     assert frame.kind is FrameKind.COMMAND
     assert frame.route == (1, 5, 10)
     assert frame.hop_index == 1
@@ -509,12 +513,7 @@ def test_coordinator_nacks_unreachable_target(table1):
     coordinator = Coordinator(table1, 1)
     command = wire.Datagram(wire.MsgType.COMMAND, 8, 10,
                             wire.encode_command_payload(10, wire.SwitchOpcode.SWITCH_ON))
-    up, down = coordinator.step(datagrams=[command])
-    assert down == []
-    assert len(up) == 1
-    assert up[0].msg_type is wire.MsgType.NACK
-    assert up[0].seq == 8
-    assert up[0].src_node == 10
+    assert coordinator.receive_datagram(command) == wire.Datagram(wire.MsgType.NACK, 8, 10)
 
 
 @pytest.mark.parametrize("target", [0, 11, 1])  # no such node, and the coordinator
@@ -522,33 +521,28 @@ def test_coordinator_nacks_target_outside_the_mesh(table1, target):
     coordinator = Coordinator(table1, 5)
     command = wire.Datagram(wire.MsgType.COMMAND, 9, target,
                             wire.encode_command_payload(target, wire.SwitchOpcode.SWITCH_ON))
-    up, down = coordinator.step(datagrams=[command])
-    assert down == []
-    assert [(d.msg_type, d.seq, d.src_node) for d in up] == [(wire.MsgType.NACK, 9, target)]
+    assert coordinator.receive_datagram(command) == wire.Datagram(wire.MsgType.NACK, 9, target)
 
 
 @pytest.mark.parametrize("payload", [bytes([10, 0x09]), b"\x0a", b"\x0a\x01\x00"],
                          ids=["unknown-opcode", "short", "long"])
 def test_coordinator_nacks_a_malformed_command(table1, payload):
     coordinator = Coordinator(table1, 5)
-    up, down = coordinator.step(datagrams=[wire.Datagram(wire.MsgType.COMMAND, 9, 10, payload)])
-    assert down == []
-    assert [(d.msg_type, d.seq, d.src_node) for d in up] == [(wire.MsgType.NACK, 9, 10)]
+    command = wire.Datagram(wire.MsgType.COMMAND, 9, 10, payload)
+    assert coordinator.receive_datagram(command) == wire.Datagram(wire.MsgType.NACK, 9, 10)
 
 
 def test_coordinator_correlates_switch_ack(table1):
     coordinator = Coordinator(table1, 5)
     command = wire.Datagram(wire.MsgType.COMMAND, 55, 10,
                             wire.encode_command_payload(10, wire.SwitchOpcode.SWITCH_ON))
-    coordinator.step(datagrams=[command])
     ack_payload = switch_ack_payload(wire.SwitchOpcode.SWITCH_ON, SwitchState.ON)
     ack_frame = RadioFrame(src=10, dst=1, kind=FrameKind.SENSOR_READING,
                            payload=ack_payload, route=(10, 5, 1), hop_index=2)
-    up, down = coordinator.step(frames=[ack_frame])
-    assert len(up) == 1
-    assert up[0].msg_type is wire.MsgType.ACK
-    assert up[0].seq == 55
-    assert up[0].src_node == 10
+    assert coordinator.receive_frame(ack_frame) is None  # no command pending
+    assert isinstance(coordinator.receive_datagram(command), RadioFrame)
+    assert coordinator.receive_frame(ack_frame) == wire.Datagram(wire.MsgType.ACK, 55, 10)
+    assert coordinator.receive_frame(ack_frame) is None  # its command is acknowledged
 
 
 def test_coordinator_translates_alarm(table1):
@@ -556,9 +550,7 @@ def test_coordinator_translates_alarm(table1):
     digits = b"1234181131010158"
     frame = RadioFrame(src=4, dst=1, kind=FrameKind.ALARM, payload=digits,
                        route=(4, 1), hop_index=1)
-    up, _ = coordinator.step(frames=[frame])
-    assert up[0].msg_type is wire.MsgType.ALARM_CID
-    assert up[0].payload == digits
+    assert coordinator.receive_frame(frame) == wire.Datagram(wire.MsgType.ALARM_CID, 0, 4, digits)
 
 
 # --- the tick loop -------------------------------------------------------------------------
@@ -599,11 +591,7 @@ def test_step_wakes_only_the_nodes_that_are_due(table1_topology, monkeypatch):
         woken.append((state.id, now))
         return original(state, now)
 
-    def refused(state, now):
-        raise AssertionError("step called node_tick")
-
     monkeypatch.setattr(simnet, "_wake", counted)
-    monkeypatch.setattr(simnet, "node_tick", refused)
     net = SimNetwork(table1_topology, 5, sample_period=50)
     net.run(200)
     assert len(woken) == net.readings_emitted == 9 * 4
@@ -612,14 +600,17 @@ def test_step_wakes_only_the_nodes_that_are_due(table1_topology, monkeypatch):
 
 @given(state=st.builds(NodeState, **{**NODE_FIELDS, "id": st.just(2), "coordinator": st.just(1)}),
        now=st.integers(0, 2000))
-def test_step_wakes_a_node_as_node_tick_does(state, now):
-    # one sensor, node 2, one hop from the coordinator
-    net = SimNetwork(Topology(table=validate_table([[0, 3], [3, 0]])), radius=5)
-    net.nodes[2], net.now = state, now
+def test_step_wakes_a_node_as_the_reference_does(state, now):
+    net = one_sensor_net(state, now)
     net.step()
-    woken, frames = node_tick(state, now)
-    assert net.nodes[2] == woken
-    assert net._in_flight == [routed_by_replace(frame, net.routes.path(2, 1)) for frame in frames]
+    if now < state.next_wake:
+        assert (net.nodes[2], net._in_flight) == (state, [])
+        return
+    reading = synthetic_reading(2, now, state.seed)
+    assert net.nodes[2] == woken_by_replace(state, now, reading)
+    frame = RadioFrame(src=2, dst=1, kind=FrameKind.SENSOR_READING,
+                       payload=struct.pack(">QH", now, reading))
+    assert net._in_flight == [routed_by_replace(frame, net.routes.path(2, 1))]
 
 
 def test_network_delivers_every_reachable_reading(table1_topology):
@@ -698,6 +689,31 @@ def test_tick_timeline_of_a_command_and_an_alarm(table1_topology):
     assert trace[-1][4] == "type=ACK seq=7"
     assert picked("1234181131010158", "kind=alarm route=7-3-1", "kind=alarm") == [
         (1, "alarm", 7, 1), (1, "send", 7, 1), (2, "relay", 3, 1), (3, "deliver", 7, 1)]
+
+
+def test_a_tick_logs_every_downlink_then_every_nack_then_every_command_send(table1_topology):
+    # the coordinator takes one datagram at a time, yet the tick's trace keeps
+    # its phases: all downlink lines, then the NACK uplinks, then the sends
+    net = SimNetwork(table1_topology, 5, sample_period=1000)
+    net.run(1)  # every node wakes at tick 0, next at tick 1000
+    start = len(net.trace)
+    switch_on = wire.SwitchOpcode.SWITCH_ON
+    # the routed command comes first, yet its send follows the later one's NACK
+    net.inject_datagram(wire.Datagram(wire.MsgType.COMMAND, 3, 10,
+                                      wire.encode_command_payload(10, switch_on)))
+    net.inject_datagram(wire.Datagram(wire.MsgType.ACK, 0, 1))
+    net.inject_datagram(wire.Datagram(wire.MsgType.COMMAND, 4, 11,
+                                      wire.encode_command_payload(11, switch_on)))
+    net.step()
+    assert net.trace_lines()[start:start + 5] == [
+        "1\tdownlink\t0\t1\ttype=COMMAND seq=3",
+        "1\tdownlink\t0\t1\ttype=ACK seq=0",
+        "1\tdownlink\t0\t1\ttype=COMMAND seq=4",
+        "1\tuplink\t11\t0\ttype=NACK seq=4",
+        "1\tsend\t1\t10\tkind=command route=1-5-10",
+    ]
+    # the rest of the tick hands on the readings sent at tick 0
+    assert {event[1] for event in net.trace[start + 5:]} == {"deliver", "relay", "uplink"}
 
 
 def test_network_nacks_a_malformed_command_and_keeps_the_frames_on_the_air(table1_topology):

@@ -524,9 +524,11 @@ class MonitorCore:
 
     def handle_datagram(self, session: _Session, d: wire.Datagram) -> wire.Datagram | None:
         """Ingest one decoded datagram: `handle_frame` of its encoded frame,
-        with the reply it names built as a datagram."""
-        reply = self.handle_frame(session, d.msg_type, d.seq, d.src_node,
-                                  wire.encode_datagram(d), d.payload)
+        with the reply it names built as a datagram. A msg_type given as a
+        plain int is handled as its MsgType member."""
+        frame = wire.encode_datagram(d)  # refuses a msg_type that is no MsgType value
+        reply = self.handle_frame(session, wire.MsgType(d.msg_type), d.seq, d.src_node,
+                                  frame, d.payload)
         return None if reply is None else wire.Datagram(reply, d.seq, d.src_node)
 
     def handle_frame(self, session: _Session, msg_type: wire.MsgType, seq: int, src_node: int,

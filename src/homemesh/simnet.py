@@ -131,6 +131,14 @@ class SwitchState(Enum):
     OFF = "off"
 
 
+# bound once: the loop names these for every reading and every datagram, and
+# an Enum member read off its class costs 110-205 ns on Python 3.10 and 3.11
+# (30-47 ns on 3.12 and 3.13) against 8-30 ns for a module global
+_SENSOR_READING, _COMMAND, _ALARM = FrameKind.SENSOR_READING, FrameKind.COMMAND, FrameKind.ALARM
+_SENSOR_DATA, _ACK, _ALARM_CID = wire.MsgType.SENSOR_DATA, wire.MsgType.ACK, wire.MsgType.ALARM_CID
+_COMMAND_TYPE, _NACK = wire.MsgType.COMMAND, wire.MsgType.NACK
+
+
 @dataclass(frozen=True)
 class NodeState:
     """One duty-cycled sensor node, advanced functionally by the tick loop.
@@ -178,9 +186,17 @@ def _wake(state: NodeState, now: int) -> tuple[NodeState, bytes]:
     next_wake = state.next_wake + state.sample_period
     if next_wake <= now:  # catch up after missed wakes
         next_wake = now + state.sample_period
-    new_state = _build(NodeState, {**state.__dict__, "next_wake": next_wake,
-                                   "last_reading": reading})
-    return new_state, READING_PAYLOAD.pack(now, reading)
+    fields = state.__dict__.copy()
+    fields["next_wake"] = next_wake
+    fields["last_reading"] = reading
+    return _build(NodeState, fields), READING_PAYLOAD.pack(now, reading)
+
+
+def _advanced(frame: RadioFrame) -> RadioFrame:
+    """A frame passed on to the next node of its route: the one relay rule."""
+    fields = frame.__dict__.copy()
+    fields["hop_index"] = frame.hop_index + 1
+    return _build(RadioFrame, fields)
 
 
 def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, list[RadioFrame]]:
@@ -198,8 +214,8 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
             f"node {state.id} received frame out of turn (hop {hop} of {list(route)})"
         )
     if hop != len(route) - 1:  # not at_destination (route holds this node)
-        return state, [_build(RadioFrame, {**frame.__dict__, "hop_index": hop + 1})]
-    if frame.kind is FrameKind.COMMAND:
+        return state, [_advanced(frame)]
+    if frame.kind is _COMMAND:
         _target, opcode = wire.decode_command_payload(frame.payload)
         switch = state.relay_switch
         if opcode is wire.SwitchOpcode.SWITCH_ON:
@@ -208,7 +224,7 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
             switch = SwitchState.OFF
         new_state = _build(NodeState, {**state.__dict__, "relay_switch": switch})
         ack = _build(RadioFrame, {"src": state.id, "dst": state.coordinator,
-                                  "kind": FrameKind.SENSOR_READING,
+                                  "kind": _SENSOR_READING,
                                   "payload": switch_ack_payload(opcode, switch),
                                   "route": (), "hop_index": 0})
         return new_state, [ack]
@@ -292,16 +308,16 @@ class Coordinator:
     def receive_frame(self, frame: RadioFrame) -> wire.Datagram | None:
         """The uplink datagram one frame delivered here becomes, if any."""
         kind, payload = frame.kind, frame.payload
-        if kind is FrameKind.SENSOR_READING:
+        if kind is _SENSOR_READING:
             if payload.startswith(_SWITCH_ACK):  # is_switch_ack, inline
                 queue = self._pending.get(frame.src)
                 if not queue:
                     return None  # orphan acknowledgment
-                return _build(wire.Datagram, {"msg_type": wire.MsgType.ACK, "seq": queue.popleft(),
+                return _build(wire.Datagram, {"msg_type": _ACK, "seq": queue.popleft(),
                                               "src_node": frame.src, "payload": b""})
-            msg_type = wire.MsgType.SENSOR_DATA
-        elif kind is FrameKind.ALARM:
-            msg_type = wire.MsgType.ALARM_CID
+            msg_type = _SENSOR_DATA
+        elif kind is _ALARM:
+            msg_type = _ALARM_CID
         else:
             return None
         seq = self._seq
@@ -312,7 +328,7 @@ class Coordinator:
     def receive_datagram(self, d: wire.Datagram) -> RadioFrame | wire.Datagram | None:
         """The one message a monitor datagram becomes: a COMMAND's routed
         frame, the NACK of a COMMAND that cannot be routed, or None."""
-        if d.msg_type is not wire.MsgType.COMMAND:
+        if d.msg_type != _COMMAND_TYPE:  # a plain int equals its MsgType member
             return None  # monitor-side ACK/NACK of our uplink traffic
         try:
             target, _opcode = wire.decode_command_payload(d.payload)
@@ -322,10 +338,10 @@ class Coordinator:
             inside = 1 <= target <= self.routes.table.n and target != self.node_id
             path = self.routes.path(self.node_id, target) if inside else None
         if path is None:  # undecodable, outside the mesh, or out of reach
-            return _build(wire.Datagram, {"msg_type": wire.MsgType.NACK, "seq": d.seq,
+            return _build(wire.Datagram, {"msg_type": _NACK, "seq": d.seq,
                                           "src_node": target, "payload": b""})
         frame = _build(RadioFrame, {"src": self.node_id, "dst": target,
-                                    "kind": FrameKind.COMMAND,
+                                    "kind": _COMMAND,
                                     "payload": d.payload,  # preserved byte-for-byte
                                     "route": path, "hop_index": 1})
         self._pending.setdefault(target, deque()).append(d.seq)
@@ -370,7 +386,13 @@ class SimNetwork:
     # --- inputs -----------------------------------------------------------
 
     def inject_datagram(self, d: wire.Datagram) -> None:
-        """Queue an uplink-side datagram for the coordinator's next step."""
+        """Queue an uplink-side datagram for the coordinator's next step; a
+        msg_type that is not a MsgType value is refused here, before the tick,
+        where its `downlink` trace line could not be written."""
+        try:
+            wire.MsgType(d.msg_type)
+        except ValueError:
+            raise InvalidInput(f"unknown msg_type {d.msg_type!r}") from None
         self._uplink_in.append(d)
 
     def inject_alarm(self, node_id: int, digits: str) -> None:
@@ -440,7 +462,7 @@ class SimNetwork:
             self.readings_emitted += 1
             dst = state.coordinator
             trace.append((now, "wake", node_id, dst, f"reading={state.last_reading}"))
-            self._launch(node_id, dst, FrameKind.SENSOR_READING, payload)
+            self._launch(node_id, dst, _SENSOR_READING, payload)
 
         alarms, self._alarms = self._alarms, []
         for frame in alarms:
@@ -453,24 +475,29 @@ class SimNetwork:
         self.now += 1
 
     def _deliver(self, frame: RadioFrame) -> None:
-        holder = frame.route[frame.hop_index]
+        route, hop = frame.route, frame.hop_index
+        holder = route[hop]
         if holder == self.coordinator.node_id:
             self.trace.append((self.now, "deliver", frame.src, holder, frame.kind.trace_detail))
             d = self.coordinator.receive_frame(frame)
             if d is not None:
                 self._uplink(d)
             return
-        state, frames = node_on_receive(self.nodes[holder], frame)
+        state = self.nodes[holder]
+        if hop != len(route) - 1 and state.id == holder:
+            # node_on_receive's relay, without the call: holder is route[hop],
+            # so its route checks come down to the held state's id
+            self.trace.append((self.now, "relay", holder, route[hop + 1], frame.kind.trace_detail))
+            self._in_flight.append(_advanced(frame))
+            return
+        # a frame at its destination, or a state held under another node's id,
+        # which node_on_receive refuses with MisroutedFrame
+        state, frames = node_on_receive(state, frame)
         self.nodes[holder] = state
-        for out in frames:
-            if out.route:
-                self.trace.append((self.now, "relay", holder, out.route[out.hop_index],
-                                   out.kind.trace_detail))
-                self._in_flight.append(out)
-            else:  # a switch acknowledgment, the only frame a node answers with
-                self.trace.append((self.now, "switch", holder, out.dst,
-                                   f"state={state.relay_switch.value}"))
-                self._launch(out.src, out.dst, out.kind, out.payload)
+        for out in frames:  # a switch acknowledgment, the only frame a node answers with
+            self.trace.append((self.now, "switch", holder, out.dst,
+                               f"state={state.relay_switch.value}"))
+            self._launch(out.src, out.dst, out.kind, out.payload)
 
     def _uplink(self, d: wire.Datagram) -> None:
         self.trace.append((self.now, "uplink", d.src_node, 0, f"{_TYPE_DETAIL[d.msg_type]}{d.seq}"))

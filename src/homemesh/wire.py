@@ -31,7 +31,10 @@ VERSION = 1
 MAX_PAYLOAD = 1024
 HEADER = struct.Struct(">2sBBHHH")
 CRC = struct.Struct(">I")
-MIN_FRAME = HEADER.size + CRC.size
+# module ints: every frame checked or split reads them, and a Struct's `size`
+# is an attribute lookup each time
+_HEADER_SIZE, _CRC_SIZE = HEADER.size, CRC.size
+MIN_FRAME = _HEADER_SIZE + _CRC_SIZE
 
 
 class MsgType(IntEnum):
@@ -165,8 +168,8 @@ def check_frame(data, start: int, stop: int,
     if payload_len > MAX_PAYLOAD:
         raise LengthMismatch(f"declared payload length {payload_len} exceeds {MAX_PAYLOAD}",
                              offset=8)
-    body_end = start + HEADER.size + payload_len
-    end = body_end + CRC.size
+    body_end = start + _HEADER_SIZE + payload_len
+    end = body_end + _CRC_SIZE
     if end > stop:
         if stream:
             return None
@@ -186,7 +189,7 @@ def decode_datagram(data: bytes) -> Datagram:
     """Parse exactly one frame, validating magic, version, type, length, CRC."""
     kind, seq, src_node, _, end = check_frame(data, 0, len(data))
     return _build(Datagram, {"msg_type": kind, "seq": seq, "src_node": src_node,
-                             "payload": bytes(data[HEADER.size:end - CRC.size])})
+                             "payload": bytes(data[_HEADER_SIZE:end - _CRC_SIZE])})
 
 
 class StreamDecoder:
@@ -211,7 +214,7 @@ class StreamDecoder:
         frames = []
         start, stop = 0, len(data)
         try:
-            while stop - start >= HEADER.size:
+            while stop - start >= _HEADER_SIZE:
                 checked = check_frame(data, start, stop, True)
                 if checked is None:
                     break
@@ -224,7 +227,7 @@ class StreamDecoder:
     def feed(self, data: bytes) -> list[Datagram]:
         chunk, frames = self.take(data)
         return [_build(Datagram, {"msg_type": kind, "seq": seq, "src_node": src_node,
-                                  "payload": chunk[start + HEADER.size:end - CRC.size]})
+                                  "payload": chunk[start + _HEADER_SIZE:end - _CRC_SIZE]})
                 for kind, seq, src_node, start, end in frames]
 
     @property

@@ -387,3 +387,25 @@ def test_the_chunk_path_matches_one_handle_datagram_per_datagram(runs, data):
         finally:
             for core in cores:
                 core.close()
+
+
+@given(st.lists(st.one_of(RECORD_FRAMES, OTHER_FRAMES), max_size=8))
+@settings(max_examples=50, deadline=None)
+def test_a_plain_int_type_is_handled_as_its_member(stream):
+    with tempfile.TemporaryDirectory(prefix="homemesh-core-") as tmp:
+        cores = [MonitorCore(f"{tmp}/{name}.log", command_timeout=TIMEOUT) for name in "ab"]
+        try:
+            replies = []
+            for core, given_as in zip(cores, (lambda t: t, int)):
+                core.open()
+                session = core.connect(FakeTransport())
+                for _ in range(COMMANDS):
+                    core.dispatch(10, wire.SwitchOpcode.SWITCH_ON, 0.0)
+                sent = [dataclasses.replace(d, msg_type=given_as(d.msg_type)) for d in stream]
+                replies.append([core.handle_datagram(session, d) for d in sent])
+                core.store.flush()
+            assert replies[0] == replies[1]
+            assert _core_state(cores[0]) == _core_state(cores[1])
+        finally:
+            for core in cores:
+                core.close()

@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from homemesh import routing, simnet, wire
@@ -310,6 +310,42 @@ def test_node_on_receive_builds_what_replace_would(case, data):
         assert (new, out) == (state, [])
 
 
+def holding_net(holder: int, state: NodeState, frame: RadioFrame) -> SimNetwork:
+    """A network whose one node entry, under `holder`, is `state`, asleep this
+    tick, and whose only frame on the air is `frame`. Node 1 is its
+    coordinator."""
+    net = SimNetwork(Topology(table=validate_table([[0, 3], [3, 0]])), radius=5)
+    net.nodes = {holder: dataclasses.replace(state, next_wake=net.now + 1)}
+    net._in_flight = [frame]
+    return net
+
+
+@given(data=st.data())
+def test_step_relays_a_held_frame_as_node_on_receive_does(data):
+    state, frame = data.draw(held_frames("relay"))
+    holder = state.id
+    assume(holder != 1)  # the coordinator takes a frame it holds itself
+    net = holding_net(holder, state, frame)
+    asleep = net.nodes[holder]
+    _, [out] = node_on_receive(asleep, frame)
+    net.step()
+    assert net._in_flight == [relayed_by_replace(frame)] == [out]
+    assert net.trace == [(0, "relay", holder, out.route[out.hop_index], out.kind.trace_detail)]
+    assert net.nodes == {holder: asleep}
+
+
+@pytest.mark.parametrize("case", ["relay", "command", "other"])
+@given(data=st.data())
+def test_step_refuses_a_frame_held_under_another_nodes_id(case, data):
+    state, frame = data.draw(held_frames(case))
+    holder = state.id
+    assume(holder != 1)
+    other = data.draw(st.integers(1, 30).filter(lambda node: node != holder))
+    net = holding_net(holder, dataclasses.replace(state, id=other), frame)
+    with pytest.raises(MisroutedFrame):
+        net.step()
+
+
 # --- wire._build against the public constructors ---------------------------------
 
 DATAGRAM_FIELDS = {
@@ -583,6 +619,26 @@ def test_launch_attaches_the_route_replace_would(table1_topology):
     assert net._in_flight == [routed_by_replace(frame, net.routes.path(7, 1))]
 
 
+@pytest.mark.parametrize("due", [0, 1, 4, 9])
+def test_readings_launch_through_the_launch_method(table1_topology, monkeypatch, due):
+    # bench/spans.py times this class attribute; a path around it reads 0
+    launched = []
+    launch = SimNetwork.__dict__["_launch"]
+
+    def counting(self, *args):
+        launched.append(args[:2])
+        return launch(self, *args)
+
+    monkeypatch.setattr(SimNetwork, "_launch", counting)
+    net = SimNetwork(table1_topology, 5, sample_period=1000)
+    sensors = list(net.nodes)
+    for node in sensors[due:]:
+        net.nodes[node] = dataclasses.replace(net.nodes[node], next_wake=1)
+    net.step()
+    assert launched == [(node, 1) for node in sensors[:due]]
+    assert net.readings_emitted == due
+
+
 def test_step_wakes_only_the_nodes_that_are_due(table1_topology, monkeypatch):
     woken = []
     original = simnet._wake
@@ -729,6 +785,46 @@ def test_network_nacks_a_malformed_command_and_keeps_the_frames_on_the_air(table
     assert nacks == [(7, 10)]
     arrived = [event for event in net.trace[start:] if event[1] in ("deliver", "relay")]
     assert len(arrived) == on_air
+
+
+@pytest.mark.parametrize("msg_type", [0, 99, "COMMAND"])
+def test_inject_datagram_refuses_an_unknown_type_and_keeps_the_tick(table1_topology, msg_type):
+    net = SimNetwork(table1_topology, 5, sample_period=1)
+    net.run(1)
+    on_air = len(net._in_flight)
+    with pytest.raises(InvalidInput):
+        net.inject_datagram(wire.Datagram(msg_type, 0, 10, b""))
+    start = len(net.trace)
+    net.step()
+    assert net.now == 2
+    assert [event for event in net.trace[start:] if event[1] == "downlink"] == []
+    arrived = [event for event in net.trace[start:] if event[1] in ("deliver", "relay")]
+    assert len(arrived) == on_air == 9
+
+
+COMMAND_PAYLOADS = st.one_of(
+    st.binary(max_size=3),
+    st.builds(lambda target, opcode: bytes([target, opcode]),
+              st.integers(0, 12), st.sampled_from(wire.SwitchOpcode)))
+DOWNLINK = st.builds(wire.Datagram, st.sampled_from(wire.MsgType), st.integers(0, 0xFFFF),
+                     st.integers(0, 12), COMMAND_PAYLOADS)
+
+
+@given(datagrams=st.lists(DOWNLINK, max_size=4))
+def test_a_plain_int_type_is_handled_as_its_member(table1_topology, datagrams):
+    as_ints = [dataclasses.replace(d, msg_type=int(d.msg_type)) for d in datagrams]
+    by_member, by_int = (Coordinator(table1_topology.table, 5) for _ in range(2))
+    assert ([by_member.receive_datagram(d) for d in datagrams]
+            == [by_int.receive_datagram(d) for d in as_ints])
+    nets = []
+    for queued in (datagrams, as_ints):
+        net = SimNetwork(table1_topology, 5, sample_period=1000)
+        for d in queued:
+            net.inject_datagram(d)
+        net.run(6)
+        nets.append(net)
+    assert nets[0].trace_lines() == nets[1].trace_lines()
+    assert nets[0].uplink_out == nets[1].uplink_out
 
 
 def test_network_command_round_trip_switches_node(table1_topology):

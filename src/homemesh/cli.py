@@ -220,8 +220,12 @@ def cmd_cid(args) -> int:
 def cmd_serve(args) -> int:
     service = monitor.serve(listen=args.listen, admin=args.admin,
                             store_path=args.store, command_timeout=args.command_timeout)
-    # a supervisor or a container stop sends SIGTERM: stop cleanly, as on Ctrl-C
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # a supervisor or a container stop sends SIGTERM: stop cleanly, as on
+    # Ctrl-C. SIGINT is mapped too: a process that starts with it ignored, as
+    # a background job of a non-interactive shell does, gets no
+    # KeyboardInterrupt from Python
+    previous = {sig: signal.signal(sig, signal.default_int_handler)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         host, port = service.address
         admin_host, admin_port = service.admin_address
@@ -232,7 +236,8 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
         service.stop()
     return 0
 

@@ -47,8 +47,11 @@ class DistanceTable:
 
     @cached_property
     def max_cost(self) -> float:
-        """The largest entry, computed once per table."""
-        return max(map(max, self.cost))
+        """The largest finite entry (0.0 when there is none), computed once per table."""
+        if math.isfinite(sum(map(sum, self.cost))):  # no inf or NaN entry: max() at C speed
+            return max(map(max, self.cost))
+        return max((c for row in self.cost for c in row if -math.inf < c < math.inf),
+                   default=0.0)
 
     def check_node(self, node: int) -> None:
         if not isinstance(node, int) or isinstance(node, bool) or not 1 <= node <= self.n:

@@ -5,29 +5,31 @@ paths the winner minimizes, in lexicographic order: total distance, then hop
 count, then the node-id sequence itself. The hop tie-break is what makes a
 two-hop route beat an equally long three-hop one.
 
+A route's distance is the sum of its costs, each first rounded to one binary
+grid per table (_grid). On that grid no sum along a simple path rounds, so
+distances are exact in any order of addition and compare exactly.
+
 One label search serves every query. It settles labels into a list its
 caller owns and can pause once a given node is settled and be resumed later:
 find_optimal_path asks it one destination; shortest_path_tree runs it to its
-end and returns every node's route from the source. The two agree exactly,
-float ties included: a label, once settled, is never changed by the rest of
-the search, so pausing or stopping early only leaves later nodes unsettled.
-A label is (dist, hops, node, parent), where parent is the label it extends,
-so a relaxation copies no path and labels share their prefixes. Node
-sequences are compared only between labels of one node that tie on hops and
-on distance, or come within rounding of it, by walking both parent chains.
-Routes is the one owner of searches: callers that route many pairs on a
-table at a radius ask one Routes object, which keeps one paused search per
-source, resumes it only as far as each pair asks, and reads each path out of
-its labels once.
+end and returns every node's route from the source. The two agree exactly:
+a label, once settled, is never changed by the rest of the search, so
+pausing or stopping early only leaves later nodes unsettled. A label is
+(dist, hops, node, parent), where parent is the label it extends, so a
+relaxation copies no path and labels share their prefixes. Node sequences
+are compared only between labels of one node that tie on distance and hops,
+by walking both parent chains. Routes is the one owner of searches: callers
+that route many pairs on a table at a radius ask one Routes object, which
+keeps one paused search per source, resumes it only as far as each pair
+asks, and reads each path out of its labels once.
 
 The all-pairs profile never walks the n(n-1) paths. A route extends its
-parent label's route, which is its node-before-last's own route but where
-float rounding makes a route leave it, so a node's visits over every route
-from the source follow from its subtree size (Brandes' dependency
-accumulation, one search per source). The profile folds over the sources,
-tallying each search's settled labels and dropping them before the next
-search, so it holds one search at a time; tally_pairs, which keeps every
-source's paths, serves drawn traffic, where pairs repeat.
+node-before-last's own route, so a node's visits over every route from the
+source follow from its subtree size (Brandes' dependency accumulation, one
+search per source). The profile folds over the sources, tallying each
+search's settled labels and dropping them before the next search, so it
+holds one search at a time; tally_pairs, which keeps every source's paths,
+serves drawn traffic, where pairs repeat.
 
 A Routes builds one radius-pruned adjacency, each node's (next node, cost)
 pairs within the radius, with its first search and shares it with every
@@ -107,6 +109,32 @@ def _check_query(table: DistanceTable, query: RouteQuery) -> None:
     _check_radius(query.radius)
 
 
+def _grid(table: DistanceTable) -> float:
+    """The table's grid constant G: a cost c enters every route sum as (c + G) - G.
+
+    With C the table's largest finite cost and e the least integer with
+    n*C < 2**e, G is 2**(e - 1). For n >= 2 a finite cost lies in [0, G), so
+    c + G lies in [G, 2G), where one ulp is q = 2**(e - 53), and (c + G) - G
+    is c rounded half-to-even to a multiple of q. A simple path has fewer
+    than n hops, so each sum along it is a multiple of q below 2**53 * q:
+    exact in a double, whatever the order of addition. (Where q would be
+    below the least subnormal, c is kept as it is, and sums stay exact.) G
+    is 0 when C is, and costs are used as they are. An infinite cost stays
+    infinite and a NaN unusable. A table with n*C of 2**1023 or more is
+    refused: its grid or a sum could overflow.
+    """
+    top = table.max_cost
+    if top == 0:
+        return 0.0
+    # C = num / 2**k, so n*C < 2**e iff n*num < 2**(e + k): e + k is the
+    # bit length of n*num, and no float n*C is formed to overflow
+    num, den = top.as_integer_ratio()
+    e = (table.n * num).bit_length() - (den.bit_length() - 1)
+    if e > 1023:
+        raise InvalidInput(f"costs up to {top:g} on {table.n} nodes are too large to add exactly")
+    return math.ldexp(1.0, e - 1)
+
+
 def _precedes(a, b) -> bool:
     """Whether label a's node sequence is less than label b's; a and b have equal hops.
 
@@ -154,101 +182,70 @@ def _label_search(table: DistanceTable, src: int, radius: float,
 
     Dijkstra over the radius-pruned edge set with composite labels: a label
     orders as (distance so far, hops so far, node sequence), and the first
-    label settled for a node is its global optimum. `parent` is the label
+    label settled for a node is its global optimum. Costs enter on the
+    table's grid (_grid), so every distance is exact. `parent` is the label
     this one extends, None at the source, so a label's node sequence is read
-    up its parent chain and a relaxation copies no path. The heap compares
-    the label tuples as they are, so two labels of one node that tie exactly
-    on (dist, hops) may pop in either order. Only the one whose sequence wins
-    (_precedes) is `queued` for the node, so a popped label that is not its
-    unsettled node's queued one lost that tie and is skipped.
-
-    A route's distance is its hop costs added in path order, and float
-    addition rounds, so a prefix that loses on distance can tie once a hop
-    is added and then win on hops or node sequence: 0.1 + 0.2 + 0.3 rounds
-    above 0.1 + 0.2 + 0.2 + 0.1, yet adding 0.2 to the first and 0.3 to
-    0.1 + 0.2 + 0.2 gives 0.8 for both. So a node may expand later labels
-    too. A label is dropped only when a label of its node that is no longer
-    beats it on (hops, sequence), or is shorter by more than `tol`: n + 1
-    ulps of 2n times the longest usable hop, more than rounding can close
-    over the fewer than n hops still to come. `queued[v]` is the least label
-    pushed for v, popped first; `limit[v]` is its distance plus `tol`;
-    `front[v]` is v's least label on (hops, sequence) among its first and
-    its expanded ones. An expanded label that is not its node's settled one
-    is a detour: the labels it parents leave that node's route. Sums without
-    rounding, as on integer costs, never tie that way, so there each node
-    expands its first label only and there are no detours.
+    up its parent chain and a relaxation copies no path. `queued[v]` is the
+    best label found for v so far and `best[v]` its distance: a candidate
+    replaces it when it is shorter, or as long with fewer hops, or as long
+    with as many hops and a smaller sequence (_precedes). The heap compares
+    the label tuples as they are, so a replaced label may still pop; a
+    popped label settles iff it is its node's queued one, and is skipped
+    otherwise. Only settled labels are expanded, so a label's parent is its
+    node's settled label.
 
     A settled node's out-edges come from `edges[node]`, a list of (next node,
-    cost) pairs within the radius in id order, when an adjacency is given,
-    and from a scan of its whole cost row, each cost tested against the
-    radius, otherwise; the two offer the same usable edges in the same order,
-    but for the self edge, which the scan offers and which never wins. The
-    two loops share one relaxation, written out in each: on the adjacency a
-    radius test per edge is dead work, and on the scan a call per edge or a
-    pruned copy of each row costs more than the test it saves.
+    cost) pairs within the radius in id order, costs already on the grid,
+    when an adjacency is given, and from a scan of its whole cost row, each
+    cost tested against the radius and then put on the grid, otherwise; the
+    two offer the same usable edges in the same order, but for the self
+    edge, which the scan offers and which never wins. The two loops share
+    one relaxation, written out in each: on the adjacency a radius test per
+    edge is dead work, and on the scan a call per edge or a pruned copy of
+    each row costs more than the test it saves.
     """
     cost = table.cost
     n = table.n
-    tol = (n + 1) * math.ulp(2 * n * min(radius, table.max_cost))
+    grid = _grid(table)
     queued: list[tuple | None] = [None] * (n + 1)
-    front: list[tuple | None] = [None] * (n + 1)
-    limit = [math.inf] * (n + 1)
-    label = queued[src] = front[src] = (0.0, 0, src, None)
-    limit[src] = tol
+    best = [math.inf] * (n + 1)
+    label = queued[src] = (0.0, 0, src, None)
+    best[src] = 0.0
     heap = [label]
     stop = src
     while heap:
         label = heapq.heappop(heap)
         dist, hops, node, _ = label
-        if settled[node] is None:
-            if label is not queued[node]:  # lost an exact (dist, hops) tie
-                continue
-            settled[node] = label
-            if node == stop:
-                if settled.count(None) == 1:  # entry 0 only: every node is settled
-                    return
-                stop = yield
-        else:
-            least = front[node]
-            if dist > limit[node] or not (hops < least[1] or hops == least[1]
-                                          and _precedes(label, least)):
-                continue
-            front[node] = label
+        if label is not queued[node]:  # a better label of its node replaced it
+            continue
+        settled[node] = label
+        if node == stop:
+            if settled.count(None) == 1:  # entry 0 only: every node is settled
+                return
+            stop = yield
         next_hops = hops + 1
         if edges is not None:
             for nxt, edge in edges[node]:
                 next_dist = dist + edge
-                if next_dist <= limit[nxt]:
-                    best = queued[nxt]
-                    if best is None or next_dist < best[0]:
-                        queued[nxt] = front[nxt] = candidate = (next_dist, next_hops, nxt, label)
-                        limit[nxt] = next_dist + tol
-                        heapq.heappush(heap, candidate)
-                        continue
-                    # front[nxt] also ends at nxt, so on equal hops the
-                    # sequences differ where label's and its parent's do
-                    least = front[nxt]
-                    if next_hops < least[1] or next_hops == least[1] and _precedes(label, least[3]):
-                        candidate = (next_dist, next_hops, nxt, label)
-                        if next_dist == best[0]:
-                            queued[nxt] = front[nxt] = candidate
+                if next_dist <= best[nxt]:
+                    # a queued label of nxt also ends at nxt, so on equal
+                    # hops the sequences differ where label and its parent do
+                    least = queued[nxt]
+                    if (least is None or next_dist < least[0] or next_hops < least[1]
+                            or next_hops == least[1] and _precedes(label, least[3])):
+                        queued[nxt] = candidate = (next_dist, next_hops, nxt, label)
+                        best[nxt] = next_dist
                         heapq.heappush(heap, candidate)
             continue
         for nxt, edge in enumerate(cost[node - 1], 1):
             if edge <= radius:
-                next_dist = dist + edge
-                if next_dist <= limit[nxt]:
-                    best = queued[nxt]
-                    if best is None or next_dist < best[0]:
-                        queued[nxt] = front[nxt] = candidate = (next_dist, next_hops, nxt, label)
-                        limit[nxt] = next_dist + tol
-                        heapq.heappush(heap, candidate)
-                        continue
-                    least = front[nxt]
-                    if next_hops < least[1] or next_hops == least[1] and _precedes(label, least[3]):
-                        candidate = (next_dist, next_hops, nxt, label)
-                        if next_dist == best[0]:
-                            queued[nxt] = front[nxt] = candidate
+                next_dist = dist + ((edge + grid) - grid)
+                if next_dist <= best[nxt]:
+                    least = queued[nxt]
+                    if (least is None or next_dist < least[0] or next_hops < least[1]
+                            or next_hops == least[1] and _precedes(label, least[3])):
+                        queued[nxt] = candidate = (next_dist, next_hops, nxt, label)
+                        best[nxt] = next_dist
                         heapq.heappush(heap, candidate)
 
 
@@ -315,7 +312,7 @@ class Routes:
     does not keep, for a caller that reads each source once. The first
     search also builds the radius-pruned adjacency that every search then
     walks: entry v lists the (next node, cost) pairs of v's cost row within
-    the radius, v itself left out.
+    the radius, v itself left out, each cost on the table's grid.
     """
 
     def __init__(self, table: DistanceTable, radius: float):
@@ -332,8 +329,9 @@ class Routes:
     def _adjacency(self) -> list[list[tuple[int, float]]]:
         if self._edges is None:
             radius = self.radius
+            grid = _grid(self.table)
             self._edges = [[]] + [
-                [(nxt, edge) for nxt, edge in enumerate(row, 1)
+                [(nxt, (edge + grid) - grid) for nxt, edge in enumerate(row, 1)
                  if edge <= radius and nxt != node]
                 for node, row in enumerate(self.table.cost, 1)
             ]
@@ -373,10 +371,10 @@ class Routes:
             self.table.check_node(dst)
         paths = self._paths[src]
         if paths is None:
+            edges = self._adjacency()  # first: a table _grid refuses leaves src no state
             paths = self._paths[src] = [_UNREAD] * (n + 1)
             labels = self._labels[src] = [None] * (n + 1)
-            self._searches[src] = _label_search(self.table, src, self.radius, labels,
-                                                self._adjacency())
+            self._searches[src] = _label_search(self.table, src, self.radius, labels, edges)
             self._resume(src, None)  # a new search first runs until src is settled
         path = paths[dst]
         if path is _UNREAD:
@@ -392,32 +390,33 @@ def brute_force_route(table: DistanceTable, query: RouteQuery) -> Route:
     """Independent oracle: enumerate every simple src->dst path and pick the best.
 
     Same contract as find_optimal_path, implemented by depth-first enumeration
-    instead of a label search. A prefix is cut only when every completion is
-    provably worse than the incumbent (completions add >= 0 distance and >= 1
-    hop), so the cut never drops a potential winner.
+    instead of a label search, on the same grid costs. A prefix is cut only
+    when every completion is provably worse than the incumbent (completions
+    add >= 0 distance and >= 1 hop), so the cut never drops a potential winner.
     """
     _check_query(table, query)
     if table.n > ENUMERATION_LIMIT:
         raise InstanceTooLarge(
             f"{table.n} nodes exceed the enumeration bound of {ENUMERATION_LIMIT}"
         )
+    grid = _grid(table)
     src, dst, radius = query.src, query.dst, query.radius
     if src == dst:
         return Route((src,), 0.0, 0)
-    cost = table.cost
     n = table.n
     adjacency = {
-        node: [nxt for nxt in range(1, n + 1) if nxt != node and cost[node - 1][nxt - 1] <= radius]
-        for node in range(1, n + 1)
+        node: [(nxt, (edge + grid) - grid) for nxt, edge in enumerate(row, 1)
+               if nxt != node and edge <= radius]
+        for node, row in enumerate(table.cost, 1)
     }
     best: tuple[float, int, tuple[int, ...]] | None = None
 
     def extend(node, dist, hops, path, visited):
         nonlocal best
-        for nxt in adjacency[node]:
+        for nxt, edge in adjacency[node]:
             if nxt in visited:
                 continue
-            d = dist + cost[node - 1][nxt - 1]
+            d = dist + edge
             h = hops + 1
             if nxt == dst:
                 candidate = (d, h, path + (nxt,))
@@ -435,7 +434,11 @@ def brute_force_route(table: DistanceTable, query: RouteQuery) -> Route:
 
 
 def path_distance(table: DistanceTable, path) -> float:
-    """Sum of hop costs along an explicit path; 0 for a single node."""
+    """Sum of the hop costs along an explicit path, each on the table's grid; 0 for one node.
+
+    The sum is exact (see _grid), so it is a route's dist whatever order the
+    hops are added in.
+    """
     nodes = list(path)
     if not nodes:
         raise InvalidPath("empty path")
@@ -443,12 +446,9 @@ def path_distance(table: DistanceTable, path) -> float:
         table.check_node(node)
     if len(set(nodes)) != len(nodes):
         raise InvalidPath(f"repeated node in path {nodes}")
-    # added in path order, as a route's dist is; sum() of floats rounds
-    # differently since Python 3.12
-    dist = 0
-    for a, b in zip(nodes, nodes[1:]):
-        dist += table.cost[a - 1][b - 1]
-    return dist
+    grid = _grid(table)
+    cost = table.cost
+    return sum(((cost[a - 1][b - 1] + grid) - grid for a, b in zip(nodes, nodes[1:])), 0.0)
 
 
 def tally_pairs(routes: Routes, pairs, mode: CountingMode) -> VisitStats:
@@ -477,11 +477,8 @@ def tally_pairs(routes: Routes, pairs, mode: CountingMode) -> VisitStats:
 def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
     """What tally_pairs reports for every ordered pair, folded over one search per source.
 
-    A route extends its parent label's route by one node. That parent is
-    the settled label of its node, except where float rounding made the
-    route leave that node's route (a detour, see _label_search); then its
-    labels up to the first settled one are nodes that relay it without a
-    route of their own there. Below v hang size[v] reached nodes, v
+    A route extends its parent label's route by one node, and that parent
+    is the settled label of its node. Below v hang size[v] reached nodes, v
     included, and v lies on the route to each of them. So v transmits on
     size[v] - 1 routes; a v other than the source also relays on size[v] - 1
     and is the receiver of one more, which only ALL_PATH_NODES counts. Sizes
@@ -495,8 +492,7 @@ def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
     receiver = 1 if mode is CountingMode.ALL_PATH_NODES else 0
     delivered = 0
     for src in nodes:
-        settled = routes.labels(src)
-        reached = [label for label in settled if label is not None]
+        reached = [label for label in routes.labels(src) if label is not None]
         reached.sort(key=_HOPS, reverse=True)
         size = [1] * (n + 1)
         for label in reached[:-1]:  # every reached node but the source, children first
@@ -504,12 +500,7 @@ def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
             below = size[node]
             counts[node] += below - 1 + receiver
             relay_counts[node] += below - 1
-            up = label[3]
-            while settled[up[2]] is not up:  # a detour: relays with no route here
-                counts[up[2]] += below
-                relay_counts[up[2]] += below
-                up = up[3]
-            size[up[2]] += below
+            size[label[3][2]] += below
         counts[src] += len(reached) - 1
         delivered += len(reached) - 1
     return VisitStats({node: counts[node] for node in nodes},

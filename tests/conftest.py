@@ -56,17 +56,21 @@ def tree_calls(monkeypatch):
 @pytest.fixture
 def serve_process():
     """Start `homemesh serve` on ephemeral ports over a store path:
-    `start(store)` returns (process, listen address, admin address). Any
-    process still running at teardown is killed."""
+    `start(store)` returns (process, listen address, admin address). With
+    `sigint_ignored`, serve starts with SIGINT ignored, as a background job
+    of a non-interactive shell does. Any process still running at teardown
+    is killed."""
     procs = []
 
-    def start(store):
+    def start(store, sigint_ignored=False):
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block-buffered
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
-             "--admin", "127.0.0.1:0", "--store", str(store)],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        argv = [sys.executable, "-m", "homemesh.cli", "serve", "--listen", "127.0.0.1:0",
+                "--admin", "127.0.0.1:0", "--store", str(store)]
+        if sigint_ignored:  # an ignored signal stays ignored across exec
+            argv[1:1] = ["-c", "import os, signal, sys; signal.signal(signal.SIGINT, "
+                         "signal.SIG_IGN); os.execv(sys.executable, sys.argv[1:])", sys.executable]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
         procs.append(proc)
         assert select.select([proc.stdout], [], [], 30)[0], "serve printed no address"
         line = proc.stdout.readline().decode()

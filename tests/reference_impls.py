@@ -8,7 +8,10 @@ every field it is not told to change, whatever fields the class has.
 """
 
 import dataclasses
+import functools
 import itertools
+import math
+from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
 
@@ -33,30 +36,54 @@ def splitmix64_stream(seed: int):
         yield z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=8)
+def grid_steps(cost_rows):
+    """The routing grid of a cost table, from its definition, in exact arithmetic.
+
+    C is the largest finite cost, e the least integer with n*C < 2**e, and
+    the step q is 2**(e - 53). Returns q and each cost as a whole number of
+    steps, rounded half to even (costs as they are when C is 0; a
+    non-finite cost is kept as it is). cost_rows must be hashable, as a
+    DistanceTable's tuple rows are: the grid is worked out once per table.
+    """
+    n = len(cost_rows)
+    top = Fraction(max((c for row in cost_rows for c in row if math.isfinite(c)), default=0))
+    if top == 0:
+        return Fraction(1), cost_rows
+    e = 0
+    while n * top >= Fraction(2) ** e:
+        e += 1
+    while n * top < Fraction(2) ** (e - 1):
+        e -= 1
+    q = Fraction(2) ** (e - 53)
+    return q, tuple(tuple(round(Fraction(c) / q) if math.isfinite(c) else c for c in row)
+                    for row in cost_rows)
+
+
 def enum_best_route(cost_rows, src, dst, radius):
     """Purely enumerative optimum over permutations of intermediate nodes.
 
     Returns (dist, hops, path) minimizing lexicographic order, or None when no
-    simple path respects the radius. Exponential: keep n <= 7 or so.
+    simple path respects the radius. A hop is usable when its raw cost is
+    within the radius; distances are exact sums of the costs on the table's
+    grid (grid_steps), compared as whole numbers of steps. Exponential: keep
+    n <= 7 or so.
     """
     n = len(cost_rows)
     if src == dst:
         return (0.0, 0, (src,))
+    q, steps = grid_steps(cost_rows)
     others = [x for x in range(1, n + 1) if x not in (src, dst)]
     best = None
     for size in range(len(others) + 1):
         for middle in itertools.permutations(others, size):
             path = (src, *middle, dst)
-            if all(cost_rows[a - 1][b - 1] <= radius for a, b in zip(path, path[1:])):
-                # hop costs added in path order, as a route's distance is built;
-                # sum() of floats compensates rounding since Python 3.12
-                dist = 0.0
-                for a, b in zip(path, path[1:]):
-                    dist += cost_rows[a - 1][b - 1]
-                key = (dist, len(path) - 1, path)
+            hops = list(zip(path, path[1:]))
+            if all(cost_rows[a - 1][b - 1] <= radius for a, b in hops):
+                key = (sum(steps[a - 1][b - 1] for a, b in hops), len(hops), path)
                 if best is None or key < best:
                     best = key
-    return best
+    return None if best is None else (float(best[0] * q), best[1], best[2])
 
 
 def cid_checksum_brute(digits15: str):

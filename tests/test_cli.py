@@ -339,6 +339,17 @@ def test_serve_process_ingests_answers_and_exits_on_sigint(tmp_path, capsys, ser
     assert proc.wait(timeout=10) == 0
 
 
+def test_serve_process_started_with_sigint_ignored_exits_on_sigint(tmp_path, serve_process):
+    store = tmp_path / "store.log"
+    proc, address, _ = serve_process(store, sigint_ignored=True)
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 3, 1)))
+        read_datagrams(sock, wire.StreamDecoder(), 1)
+    proc.send_signal(signal.SIGINT)
+    assert proc.wait(timeout=10) == 0
+    assert (tmp_path / "store.log.cols").is_file()  # stop() closed the store
+
+
 def test_serve_process_stops_cleanly_on_sigterm(tmp_path, caplog, serve_process):
     store = tmp_path / "store.log"
     proc, address, _ = serve_process(store)

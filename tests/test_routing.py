@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,9 +40,10 @@ PROFILE_K5_ALL_NODES = {1: 18, 2: 18, 3: 34, 4: 18, 5: 32, 6: 26, 7: 28, 8: 18, 
 PROFILE_K5_RELAY = {1: 0, 2: 0, 3: 16, 4: 0, 5: 14, 6: 8, 7: 10, 8: 0, 9: 0, 10: 2}
 
 # sha256 of "src dst path" lines for every ordered pair on planar60_table() at
-# radius 18, recorded from the per-pair early-stop search before any caller
-# used shortest-path trees (118 pairs unreachable, routes up to 15 hops)
-PLANAR60_K18_ROUTES = "74a18d224f94c8f5311db370f085ce8260538ae096777e61bae40829dc0a96c7"
+# radius 18, routed on the table's grid; a Dijkstra over exact Fraction sums
+# of the raw costs gives the same routes (118 pairs unreachable, routes up to
+# 15 hops)
+PLANAR60_K18_ROUTES = "ad49ebb8d2ba61711b6b9f6a4888a99b33f6acf6ab114eab5523d2febe0a07a7"
 
 
 def as_tuple(route):
@@ -134,13 +136,18 @@ def test_path_distance_examples(table1):
     assert path_distance(table1, [1, 3, 7, 10]) == 10.0
 
 
-def test_path_distance_adds_hops_in_path_order():
-    # 0.3 + 0.1 + 0.2 rounds to 0.6000000000000001 hop by hop, 0.6 under fsum
+def test_path_distance_is_the_exact_sum_on_the_table_grid():
+    # n = 4 and a largest cost of 1 give e = 3 (4 * 1 < 2**3): each cost is
+    # rounded half to even to a multiple of q = 2**-50, and the sum is exact.
+    # Added hop by hop in path order, the raw costs read 0.6000000000000001
     rows = [[0, 0.3, 1, 1], [0.3, 0, 0.1, 1], [1, 0.1, 0, 0.2], [1, 1, 0.2, 0]]
     table = DistanceTable.from_rows(rows)
     route = find_optimal_path(table, RouteQuery(1, 4, 0.3))
     assert route.path == (1, 2, 3, 4)
-    assert path_distance(table, route.path) == route.dist == (0.3 + 0.1) + 0.2
+    q = Fraction(2) ** -50
+    exact = sum(round(Fraction(cost) / q) * q for cost in (0.3, 0.1, 0.2))
+    assert path_distance(table, route.path) == route.dist == exact == 0.5999999999999996
+    assert path_distance(table, route.path[::-1]) == route.dist
 
 
 def test_path_distance_errors(table1):
@@ -150,6 +157,60 @@ def test_path_distance_errors(table1):
         path_distance(table1, [1, 5, 1])
     with pytest.raises(UnknownNode):
         path_distance(table1, [1, 99])
+
+
+@pytest.mark.parametrize("radius", [5, math.inf])
+def test_infinite_and_nan_costs(radius):
+    # the largest finite cost sets the grid; an infinite cost is usable only
+    # at an infinite radius, and then loses; a NaN cost is never usable
+    table = DistanceTable.from_rows([[0, 1, math.inf], [1, 0, 2], [math.inf, 2, 0]])
+    query = RouteQuery(1, 3, radius)
+    assert as_tuple(find_optimal_path(table, query)) == ((1, 2, 3), 3.0, 2)
+    assert both_routes(table, query)[1] == ((1, 2, 3), 3.0, 2)
+    assert Routes(table, radius).path(1, 3) == (1, 2, 3)
+    table = DistanceTable.from_rows([[0, math.nan], [1, 0]])
+    with pytest.raises(NoPath):
+        find_optimal_path(table, RouteQuery(1, 2, radius))
+    assert as_tuple(find_optimal_path(table, RouteQuery(2, 1, radius))) == ((2, 1), 1.0, 1)
+
+
+# the two-hop route 1, 2, 3 is the shorter one in each; 3 * 2.8e307 stays
+# below 2**1023, and 1e-320 is subnormal
+FLOAT_RANGE_ROWS = {
+    "large": [[0, 1e307, 2.8e307], [1e307, 0, 1.5e307], [2.8e307, 1.5e307, 0]],
+    "small": [[0, 1e-301, 3e-301], [1e-301, 0, 1.5e-301], [3e-301, 1.5e-301, 0]],
+    "subnormal": [[0, 1e-320, 3e-320], [1e-320, 0, 1.5e-320], [3e-320, 1.5e-320, 0]],
+}
+
+
+@pytest.mark.parametrize("rows", FLOAT_RANGE_ROWS.values(), ids=FLOAT_RANGE_ROWS.keys())
+def test_tables_at_the_ends_of_the_float_range_route_on_their_grid(rows):
+    table = DistanceTable.from_rows(rows)
+    routes = Routes(table, math.inf)
+    for src, dst in itertools.product(table.nodes, repeat=2):
+        dist, hops, path = enum_best_route(table.cost, src, dst, math.inf)
+        query = RouteQuery(src, dst, math.inf)
+        assert both_routes(table, query) == ((path, dist, hops), (path, dist, hops))
+        assert routes.path(src, dst) == path
+        assert path_distance(table, path) == dist
+    assert routes.path(1, 3) == (1, 2, 3)
+
+
+def test_costs_too_large_to_add_exactly_are_refused():
+    # n * C = 2e308 is past 2**1023, about 9e307: the grid or a sum could overflow
+    table = DistanceTable.from_rows([[0, 1e308], [1e308, 0]])
+    routes = Routes(table, 1)
+    # routes is asked twice: a refusal must not leave 1's route reading as unreachable
+    for call in (lambda: find_optimal_path(table, RouteQuery(1, 2, math.inf)),
+                 lambda: brute_force_route(table, RouteQuery(1, 1, 1)),
+                 lambda: shortest_path_tree(table, 1, 1),
+                 lambda: routes.path(1, 2),
+                 lambda: routes.path(1, 2),
+                 lambda: routes.labels(2),
+                 lambda: all_pairs_profile(table, 1, CountingMode.TRANSMITTERS_ONLY),
+                 lambda: path_distance(table, [1, 2])):
+        with pytest.raises(InvalidInput, match="too large to add exactly"):
+            call()
 
 
 # --- oracle agreement -------------------------------------------------------
@@ -321,9 +382,10 @@ def test_profile_conservation(table1):
 # --- shortest-path trees ----------------------------------------------------------
 
 
-# From 3, (3, 5, 4) costs 0.1 + 0.2. On to 2, 0.3 direct rounds above 0.2 + 0.1
-# through 6; on to 1, (3, 5, 4, 2, 1) and (3, 5, 4, 6, 1) both round to 0.8,
-# and the first wins on node sequence though it leaves 2's route
+# From 3, (3, 5, 4) costs 0.1 + 0.2. On to 2, 0.3 direct and 0.2 + 0.1 through
+# 6 tie on the grid, where added in path order the direct hop rounds an ulp
+# above, so the fewer hops win; on to 1, (3, 5, 4, 2, 1) and (3, 5, 4, 6, 1)
+# tie at 0.8 over four hops, and the first wins on node sequence
 ROUNDING_ROWS = [
     [0.0, 0.2, 1.0, 1.0, 1.0, 0.3],
     [0.2, 0.0, 1.0, 0.3, 1.0, 0.1],
@@ -333,9 +395,9 @@ ROUNDING_ROWS = [
     [0.3, 0.1, 1.0, 0.2, 1.0, 0.0],
 ]
 
-# From 1, 2 settles on (1, 4, 2) at 0.3 + 0.3; (1, 3, 2) at 0.2 + 0.4 rounds one
-# ulp above it over the same hops, so the settled node compares that later label
-# with its own by node sequence. From 2, (2, 4, 1) and (2, 3, 1) do the same
+# From 1, (1, 4, 2) at 0.3 + 0.3 and (1, 3, 2) at 0.2 + 0.4 are equal in decimal
+# but one grid step apart, (1, 4, 2) below, so distance decides, not the node
+# sequence that favours (1, 3, 2). From 2, (2, 4, 1) and (2, 3, 1) do the same
 SETTLED_TIE_ROWS = [
     [0.0, 0.7, 0.2, 0.3],
     [0.7, 0.0, 0.4, 0.3],
@@ -390,6 +452,23 @@ def test_routes_match_enumeration(rows, radius):
         for dst in table.nodes:
             best = enum_best_route(table.cost, src, dst, radius)
             assert routes.path(src, dst) == (None if best is None else best[2])
+
+
+@given(cost_rows().filter(lambda rows: rows == [list(column) for column in zip(*rows)]),
+       st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+@example(ROUNDING_ROWS, 0.3)
+def test_symmetric_tables_give_symmetric_distances(rows, radius):
+    # sums added in path order break both on ROUNDING_ROWS: 0.1 + 0.2 + 0.3
+    # and 0.3 + 0.2 + 0.1 round apart
+    table = DistanceTable.from_rows(rows)
+    for src, dst in itertools.permutations(table.nodes, 2):
+        try:
+            forward = find_optimal_path(table, RouteQuery(src, dst, radius))
+        except NoPath:
+            continue
+        assert find_optimal_path(table, RouteQuery(dst, src, radius)).dist == forward.dist
+        assert path_distance(table, forward.path[::-1]) == path_distance(table, forward.path)
 
 
 @given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0]))

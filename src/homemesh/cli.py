@@ -136,8 +136,8 @@ def run_experiment(topology: Topology, radius: float, transmissions: int, seed: 
     """Run seeded traffic plus the analytic profile; optionally emit visits.csv.
 
     The two are run_traffic and the all-pairs fold on one Routes: the fold
-    resumes each search the traffic left paused, runs it to its end, and
-    runs each missing one once.
+    runs each search state the traffic kept on to its end, and runs each
+    missing one once.
     """
     started = time.perf_counter()
     config = SimConfig(radius, transmissions, seed, mode)

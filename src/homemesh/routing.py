@@ -9,27 +9,28 @@ A route's distance is the sum of its costs, each first rounded to one binary
 grid per table (_grid). On that grid no sum along a simple path rounds, so
 distances are exact in any order of addition and compare exactly.
 
-One label search serves every query. It settles labels into a list its
-caller owns and can pause once a given node is settled and be resumed later:
-find_optimal_path asks it one destination; shortest_path_tree runs it to its
-end and returns every node's route from the source. The two agree exactly:
-a label, once settled, is never changed by the rest of the search, so
-pausing or stopping early only leaves later nodes unsettled. A label is
-(dist, hops, node, parent), where parent is the label it extends, so a
-relaxation copies no path and labels share their prefixes. Node sequences
-are compared only between labels of one node that tie on distance and hops,
-by walking both parent chains. Routes is the one owner of searches: callers
-that route many pairs on a table at a radius ask one Routes object, which
-keeps one paused search per source, resumes it only as far as each pair
-asks, and reads each path out of its labels once.
+Every route comes from a search state: flat lists indexed by node id (each
+node's best distance, hop count and parent so far, whether it is settled,
+and the order nodes settled in) and a heap of (dist, hops, node). One plain
+function, _settle, runs a state until a given node is settled or its heap
+is empty, and a later call runs it further: a settled node never changes,
+so a state run in steps settles what one run in one go settles.
+find_optimal_path runs a fresh state until its destination is settled;
+shortest_path_tree runs one to its end. A parent is a node id, so a
+relaxation copies no path, and a route is read up the parent list once it
+is wanted. Node sequences are compared only between two routes of one node
+that tie on distance and hops, by walking both up the parent list. Routes
+is the one owner of kept states: callers that route many pairs on a table
+at a radius ask one Routes object, which keeps one state per source, runs
+it only as far as each pair asks, and reads each path out of it once.
 
 The all-pairs profile never walks the n(n-1) paths. A route extends its
 node-before-last's own route, so a node's visits over every route from the
 source follow from its subtree size (Brandes' dependency accumulation, one
-search per source). The profile folds over the sources, tallying each
-search's settled labels and dropping them before the next search, so it
-holds one search at a time; tally_pairs, which keeps every source's paths,
-serves drawn traffic, where pairs repeat.
+search per source). The profile folds over the sources, summing subtree
+sizes up each state's parent list in reverse settle order and dropping the
+state before the next source, so it holds one state at a time; tally_pairs,
+which keeps every source's paths, serves drawn traffic, where pairs repeat.
 
 A Routes builds one radius-pruned adjacency, each node's (next node, cost)
 pairs within the radius, with its first search and shares it with every
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import itemgetter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,9 +53,6 @@ from .netmodel import DistanceTable
 
 # brute_force_route refuses networks above this size
 ENUMERATION_LIMIT = 12
-
-_HOPS = itemgetter(1)  # a label's hop count
-
 
 @dataclass(frozen=True)
 class RouteQuery:
@@ -135,64 +132,67 @@ def _grid(table: DistanceTable) -> float:
     return math.ldexp(1.0, e - 1)
 
 
-def _precedes(a, b) -> bool:
-    """Whether label a's node sequence is less than label b's; a and b have equal hops.
+def _precedes(parent, a, b) -> bool:
+    """Whether the route to a has a smaller node sequence than the route to b; both have equal hops.
 
-    Walks both parent chains in lockstep from the labels up. The chains have
-    the same length, so they reach the source together, or meet earlier at a
-    shared label, above which the two sequences agree. The topmost node where
-    they differ decides.
+    Walks both routes up the parent list in lockstep. They have the same
+    length, so they reach the source together, or meet earlier at a shared
+    node, above which the two sequences agree. The topmost node where they
+    differ decides.
     """
     less = False
-    while a is not b:
-        if a[2] != b[2]:
-            less = a[2] < b[2]
-        a = a[3]
-        b = b[3]
+    while a != b:
+        less = a < b
+        a = parent[a]
+        b = parent[b]
     return less
 
 
-def _path(label) -> tuple[int, ...]:
-    """A label's node sequence, read up its parent chain."""
+def _path(parent, node) -> tuple[int, ...]:
+    """The node sequence of the route to `node`, read up the parent list."""
     nodes = []
-    while label is not None:
-        nodes.append(label[2])
-        label = label[3]
+    while node:
+        nodes.append(node)
+        node = parent[node]
     nodes.reverse()
     return tuple(nodes)
 
 
-def _label_search(table: DistanceTable, src: int, radius: float,
-                  settled: list[tuple | None], edges=None):
-    """Settle each node's (dist, hops, node, parent) label into `settled`, pausing on request.
+def _start(n: int, src: int):
+    """A new search state from src: (dist, hops, parent, done, order, heap).
 
-    A generator. `settled` is the caller's list, n + 1 entries of None; the
-    search writes each node's label there as it settles it and leaves None
-    for nodes it never reaches. It pauses first once the source is settled,
-    so the first next() settles the source. Each later resume sends the node
-    to pause at next: the search runs on until that node is settled and
-    pauses again, or runs until the heap is empty and ends (StopIteration)
-    when the node is unreachable or the sent value is None. The node sent
-    must not be settled yet, or the search runs to its end. A search that
-    would pause with every node settled ends instead, as nothing left in
-    its heap can settle one, so a caller that asks every node of a connected
-    net need not resume it again to let it go. A paused search resumes
-    exactly where it stopped, so every label it settles is the one a search
-    run to its end in one go settles.
+    dist, hops and parent hold each node's best route found so far, indexed
+    by node id: its distance, its hop count, and the node before it (0 above
+    the source). A node not reached yet has an infinite distance and n hops,
+    more than any simple path has, so a route at infinite distance still
+    replaces it. done[v] is 1 once v is settled, order lists the settled
+    nodes in the order they settled, and heap holds (dist, hops, node)
+    entries still to pop.
+    """
+    dist = [math.inf] * (n + 1)
+    hops = [n] * (n + 1)
+    dist[src] = 0.0
+    hops[src] = 0
+    return dist, hops, [0] * (n + 1), bytearray(n + 1), [], [(0.0, 0, src)]
 
-    Dijkstra over the radius-pruned edge set with composite labels: a label
-    orders as (distance so far, hops so far, node sequence), and the first
-    label settled for a node is its global optimum. Costs enter on the
-    table's grid (_grid), so every distance is exact. `parent` is the label
-    this one extends, None at the source, so a label's node sequence is read
-    up its parent chain and a relaxation copies no path. `queued[v]` is the
-    best label found for v so far and `best[v]` its distance: a candidate
-    replaces it when it is shorter, or as long with fewer hops, or as long
-    with as many hops and a smaller sequence (_precedes). The heap compares
-    the label tuples as they are, so a replaced label may still pop; a
-    popped label settles iff it is its node's queued one, and is skipped
-    otherwise. Only settled labels are expanded, so a label's parent is its
-    node's settled label.
+
+def _settle(table: DistanceTable, radius: float, state, stop: int, edges=None) -> None:
+    """Run a search state until node `stop` is settled or its heap is empty; 0 runs it to its end.
+
+    Dijkstra over the radius-pruned edge set, with routes ordered as
+    (distance, hops, node sequence): the first route settled for a node is
+    its global optimum. Costs enter on the table's grid (_grid), so every
+    distance is exact. A candidate replaces a node's best route when it is
+    shorter, or as long with fewer hops, and is then pushed;
+    when it is as long with as many hops and a smaller node sequence
+    (_precedes), only the node's parent changes, as its heap entry is the
+    same. A popped entry settles its node unless the node is already
+    settled: an entry that a better route replaced pops after that route's
+    entry. Costs are non-negative, so no candidate ever improves a settled
+    node, and only settled nodes are parents. A settled node's edges are
+    relaxed at once, so a later call resumes exactly where this one
+    stopped. A state that stops with every node settled empties its heap, as
+    nothing left in it could settle another.
 
     A settled node's out-edges come from `edges[node]`, a list of (next node,
     cost) pairs within the radius in id order, costs already on the grid,
@@ -204,81 +204,63 @@ def _label_search(table: DistanceTable, src: int, radius: float,
     edge is dead work, and on the scan a call per edge or a pruned copy of
     each row costs more than the test it saves.
     """
-    cost = table.cost
-    n = table.n
-    grid = _grid(table)
-    queued: list[tuple | None] = [None] * (n + 1)
-    best = [math.inf] * (n + 1)
-    label = queued[src] = (0.0, 0, src, None)
-    best[src] = 0.0
-    heap = [label]
-    stop = src
+    dist, hops, parent, done, order, heap = state
+    if edges is None:
+        cost = table.cost
+        grid = _grid(table)
     while heap:
-        label = heapq.heappop(heap)
-        dist, hops, node, _ = label
-        if label is not queued[node]:  # a better label of its node replaced it
+        d, h, node = heapq.heappop(heap)
+        if done[node]:
             continue
-        settled[node] = label
-        if node == stop:
-            if settled.count(None) == 1:  # entry 0 only: every node is settled
-                return
-            stop = yield
-        next_hops = hops + 1
+        done[node] = 1
+        order.append(node)
+        next_hops = h + 1
         if edges is not None:
             for nxt, edge in edges[node]:
-                next_dist = dist + edge
-                if next_dist <= best[nxt]:
-                    # a queued label of nxt also ends at nxt, so on equal
-                    # hops the sequences differ where label and its parent do
-                    least = queued[nxt]
-                    if (least is None or next_dist < least[0] or next_hops < least[1]
-                            or next_hops == least[1] and _precedes(label, least[3])):
-                        queued[nxt] = candidate = (next_dist, next_hops, nxt, label)
-                        best[nxt] = next_dist
-                        heapq.heappush(heap, candidate)
-            continue
-        for nxt, edge in enumerate(cost[node - 1], 1):
-            if edge <= radius:
-                next_dist = dist + ((edge + grid) - grid)
-                if next_dist <= best[nxt]:
-                    least = queued[nxt]
-                    if (least is None or next_dist < least[0] or next_hops < least[1]
-                            or next_hops == least[1] and _precedes(label, least[3])):
-                        queued[nxt] = candidate = (next_dist, next_hops, nxt, label)
-                        best[nxt] = next_dist
-                        heapq.heappush(heap, candidate)
-
-
-def _settle_all(table: DistanceTable, src: int, radius: float, edges=None) -> list[tuple | None]:
-    """Every node's settled label from src, one search run to its end."""
-    settled: list[tuple | None] = [None] * (table.n + 1)
-    for _ in _label_search(table, src, radius, settled, edges):
-        pass  # the only pause, at the source, is resumed with None: run to the end
-    return settled
+                next_dist = d + edge
+                if next_dist <= dist[nxt]:
+                    if next_dist < dist[nxt] or next_hops < hops[nxt]:
+                        dist[nxt] = next_dist
+                        hops[nxt] = next_hops
+                        parent[nxt] = node
+                        heapq.heappush(heap, (next_dist, next_hops, nxt))
+                    elif next_hops == hops[nxt] and _precedes(parent, node, parent[nxt]):
+                        parent[nxt] = node
+        else:
+            for nxt, edge in enumerate(cost[node - 1], 1):
+                if edge <= radius:
+                    next_dist = d + ((edge + grid) - grid)
+                    if next_dist <= dist[nxt]:
+                        if next_dist < dist[nxt] or next_hops < hops[nxt]:
+                            dist[nxt] = next_dist
+                            hops[nxt] = next_hops
+                            parent[nxt] = node
+                            heapq.heappush(heap, (next_dist, next_hops, nxt))
+                        elif next_hops == hops[nxt] and _precedes(parent, node, parent[nxt]):
+                            parent[nxt] = node
+        if node == stop:
+            if len(order) == len(done) - 1:
+                heap.clear()
+            return
 
 
 def find_optimal_path(table: DistanceTable, query: RouteQuery) -> Route:
     """Best route by (dist, hops, path) order, every hop within the radius.
 
-    The one label search from the source, asked one destination: it runs
-    until the destination is settled and is then dropped. Costs are read in
-    travel direction; directed tables are fine.
+    A fresh search state from the source, run until the destination is
+    settled and then dropped. Costs are read in travel direction; directed
+    tables are fine.
 
     Raises NoPath when the destination is unreachable under the radius.
     """
     _check_query(table, query)
-    settled: list[tuple | None] = [None] * (table.n + 1)
-    search = _label_search(table, query.src, query.radius, settled)
-    try:
-        next(search)  # settles the source
-        if settled[query.dst] is None:
-            search.send(query.dst)
-    except StopIteration:  # the search ended: it settled every node it reaches
-        pass
-    label = settled[query.dst]
-    if label is None:
-        raise NoPath(query.src, query.dst, query.radius)
-    return Route(_path(label), label[0], label[1])
+    dst = query.dst
+    state = _start(table.n, query.src)
+    _settle(table, query.radius, state, dst)
+    dist, hops, parent, done, _, _ = state
+    if not done[dst]:
+        raise NoPath(query.src, dst, query.radius)
+    return Route(_path(parent, dst), dist[dst], hops[dst])
 
 
 def shortest_path_tree(table: DistanceTable, src: int,
@@ -290,39 +272,37 @@ def shortest_path_tree(table: DistanceTable, src: int,
     """
     table.check_node(src)
     _check_radius(radius)
-    return [label and _path(label) for label in _settle_all(table, src, radius)]
+    state = _start(table.n, src)
+    _settle(table, radius, state, 0)
+    _, _, parent, done, _, _ = state
+    return [_path(parent, v) if done[v] else None for v in range(table.n + 1)]
 
 
-_UNREAD = object()  # a Routes path entry not yet read out of its labels
+_UNREAD = object()  # a Routes path entry not yet read out of its state
 
 
 class Routes:
-    """Best routes on one table at one radius, one search per source on demand.
+    """Best routes on one table at one radius, one search state per source on demand.
 
     path(src, dst) is the path find_optimal_path returns for (src, dst,
-    radius), or None when dst is unreachable. A source's search starts on
-    its first pair and runs only until that pair's destination is settled;
-    it is kept paused there, and a later pair resumes it only when its
-    destination is not settled yet. Traffic asks a few destinations per
-    source, so most of each search is never run. A search that ends, its
-    heap empty or every node settled, is dropped, and with it its heap and
-    per-node state. The settled labels are kept for the life of the object,
-    as is each path, read out of them on its first pair. labels(src) runs a
-    kept search to its end and hands out its labels, or runs a search it
-    does not keep, for a caller that reads each source once. The first
-    search also builds the radius-pruned adjacency that every search then
-    walks: entry v lists the (next node, cost) pairs of v's cost row within
-    the radius, v itself left out, each cost on the table's grid.
+    radius), or None when dst is unreachable. A source's state starts on its
+    first pair and runs only until that pair's destination is settled; it is
+    kept, and a later pair runs it further only when its destination is not
+    settled yet and its heap is not empty. Traffic asks a few destinations
+    per source, so most of each search is never run. The states are kept
+    for the life of the object, as is each path, read out of its state on
+    its first pair. The first state also builds the radius-pruned adjacency
+    that every state then walks: entry v lists the (next node, cost) pairs
+    of v's cost row within the radius, v itself left out, each cost on the
+    table's grid.
     """
 
     def __init__(self, table: DistanceTable, radius: float):
         _check_radius(radius)
         self.table = table
         self.radius = radius
-        # per source, the labels settled so far, its paused search (None once
-        # it ended), and each destination's path, None, or _UNREAD
-        self._labels: list[list[tuple | None] | None] = [None] * (table.n + 1)
-        self._searches: list = [None] * (table.n + 1)
+        # per source, its search state and each destination's path, None, or _UNREAD
+        self._states: list[tuple | None] = [None] * (table.n + 1)
         self._paths: list[list | None] = [None] * (table.n + 1)
         self._edges: list[list[tuple[int, float]]] | None = None
 
@@ -337,30 +317,30 @@ class Routes:
             ]
         return self._edges
 
-    def _resume(self, src: int, stop: int | None) -> None:
-        """Send `stop` to src's search: run it until stop is settled, to its end for None.
+    def _run(self, src: int, stop: int) -> None:
+        """Run src's kept state until stop is settled, to its end for 0.
 
-        A search that raised reads as ended when resumed, so the nodes it
-        never settled would read as unreachable: on an error src's labels,
-        paths and search are all dropped, and its next pair starts over.
+        A state that raised may hold a settled node whose edges were never
+        relaxed, so the nodes past it would read as unreachable: on an error
+        src's state and paths are both dropped, and its next pair starts over.
         """
         try:
-            self._searches[src].send(stop)
-        except StopIteration:
-            self._searches[src] = None
+            _settle(self.table, self.radius, self._states[src], stop, self._edges)
         except BaseException:
-            self._labels[src] = self._paths[src] = self._searches[src] = None
+            self._states[src] = self._paths[src] = None
             raise
 
-    def labels(self, src: int) -> list[tuple | None]:
-        """src's settled label for every node: the kept ones, else those of a search not kept."""
+    def _tree(self, src: int):
+        """src's search state run to its end: the kept one, else a new one not kept."""
         self.table.check_node(src)
-        labels = self._labels[src]
-        if labels is None:
-            return _settle_all(self.table, src, self.radius, self._adjacency())
-        if self._searches[src] is not None:
-            self._resume(src, None)
-        return labels
+        state = self._states[src]
+        if state is None:
+            edges = self._adjacency()
+            state = _start(self.table.n, src)
+            _settle(self.table, self.radius, state, 0, edges)
+        elif state[5]:
+            self._run(src, 0)
+        return state
 
     def path(self, src: int, dst: int) -> tuple[int, ...] | None:
         n = self.table.n
@@ -371,18 +351,15 @@ class Routes:
             self.table.check_node(dst)
         paths = self._paths[src]
         if paths is None:
-            edges = self._adjacency()  # first: a table _grid refuses leaves src no state
+            self._adjacency()  # first: a table _grid refuses leaves src no state
             paths = self._paths[src] = [_UNREAD] * (n + 1)
-            labels = self._labels[src] = [None] * (n + 1)
-            self._searches[src] = _label_search(self.table, src, self.radius, labels, edges)
-            self._resume(src, None)  # a new search first runs until src is settled
+            self._states[src] = _start(n, src)
         path = paths[dst]
         if path is _UNREAD:
-            labels = self._labels[src]
-            if labels[dst] is None and self._searches[src] is not None:
-                self._resume(src, dst)
-            label = labels[dst]
-            path = paths[dst] = label and _path(label)
+            _, _, parent, done, _, heap = self._states[src]
+            if not done[dst] and heap:
+                self._run(src, dst)
+            path = paths[dst] = _path(parent, dst) if done[dst] else None
         return path
 
 
@@ -390,7 +367,7 @@ def brute_force_route(table: DistanceTable, query: RouteQuery) -> Route:
     """Independent oracle: enumerate every simple src->dst path and pick the best.
 
     Same contract as find_optimal_path, implemented by depth-first enumeration
-    instead of a label search, on the same grid costs. A prefix is cut only
+    instead of a Dijkstra search, on the same grid costs. A prefix is cut only
     when every completion is provably worse than the incumbent (completions
     add >= 0 distance and >= 1 hop), so the cut never drops a potential winner.
     """
@@ -477,13 +454,13 @@ def tally_pairs(routes: Routes, pairs, mode: CountingMode) -> VisitStats:
 def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
     """What tally_pairs reports for every ordered pair, folded over one search per source.
 
-    A route extends its parent label's route by one node, and that parent
-    is the settled label of its node. Below v hang size[v] reached nodes, v
-    included, and v lies on the route to each of them. So v transmits on
-    size[v] - 1 routes; a v other than the source also relays on size[v] - 1
-    and is the receiver of one more, which only ALL_PATH_NODES counts. Sizes
-    are summed child to parent, most hops first. A search's labels are
-    dropped once tallied, unless `routes` keeps them.
+    A route extends its parent's route by one node. Below v hang size[v]
+    reached nodes, v included, and v lies on the route to each of them. So v
+    transmits on size[v] - 1 routes; a v other than the source also relays
+    on size[v] - 1 and is the receiver of one more, which only
+    ALL_PATH_NODES counts. A node settles after its parent, so sizes are
+    summed child to parent in reverse settle order. A state is dropped once
+    tallied, unless `routes` keeps it.
     """
     nodes = routes.table.nodes
     n = routes.table.n
@@ -492,17 +469,15 @@ def tally_all_pairs(routes: Routes, mode: CountingMode) -> VisitStats:
     receiver = 1 if mode is CountingMode.ALL_PATH_NODES else 0
     delivered = 0
     for src in nodes:
-        reached = [label for label in routes.labels(src) if label is not None]
-        reached.sort(key=_HOPS, reverse=True)
+        _, _, parent, _, order, _ = routes._tree(src)
         size = [1] * (n + 1)
-        for label in reached[:-1]:  # every reached node but the source, children first
-            node = label[2]
+        for node in order[:0:-1]:  # every reached node but the source, children first
             below = size[node]
             counts[node] += below - 1 + receiver
             relay_counts[node] += below - 1
-            size[label[3][2]] += below
-        counts[src] += len(reached) - 1
-        delivered += len(reached) - 1
+            size[parent[node]] += below
+        counts[src] += len(order) - 1
+        delivered += len(order) - 1
     return VisitStats({node: counts[node] for node in nodes},
                       {node: relay_counts[node] for node in nodes},
                       delivered, n * (n - 1) - delivered, mode)

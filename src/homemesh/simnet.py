@@ -16,7 +16,7 @@ from enum import Enum
 from . import wire
 from .errors import InvalidInput, MisroutedFrame, UnknownNode
 from .netmodel import DistanceTable, Topology
-from .routing import CountingMode, Routes, VisitStats, tally_pairs
+from .routing import CountingMode, Routes, VisitStats, _grid, tally_pairs
 from .wire import _build
 
 MAX_FRAME_PAYLOAD = 96  # small-frame discipline for the radio side
@@ -121,10 +121,6 @@ class RadioFrame:
     # run by the generated __init__ and by wire._build alike
     __post_init__ = _check_frame
 
-    @property
-    def at_destination(self) -> bool:
-        return bool(self.route) and self.hop_index == len(self.route) - 1
-
 
 class SwitchState(Enum):
     ON = "on"
@@ -213,7 +209,7 @@ def node_on_receive(state: NodeState, frame: RadioFrame) -> tuple[NodeState, lis
         raise MisroutedFrame(
             f"node {state.id} received frame out of turn (hop {hop} of {list(route)})"
         )
-    if hop != len(route) - 1:  # not at_destination (route holds this node)
+    if hop != len(route) - 1:  # a relay: the route goes on past this node
         return state, [_advanced(frame)]
     if frame.kind is _COMMAND:
         _target, opcode = wire.decode_command_payload(frame.payload)
@@ -301,6 +297,7 @@ class Coordinator:
     def __init__(self, table: DistanceTable, radius: float, node_id: int = 1):
         table.check_node(node_id)
         self.routes = Routes(table, radius)
+        _grid(table)  # refuse a table too large to route here, not mid-tick
         self.node_id = node_id
         self._seq = 0
         self._pending: dict[int, deque[int]] = {}

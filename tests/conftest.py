@@ -40,16 +40,16 @@ def table1(table1_topology):
 
 @pytest.fixture
 def tree_calls(monkeypatch):
-    """Record the source of every label search, the one search behind every
-    route tree."""
+    """Record the source of every new search state, the one search behind
+    every route tree."""
     calls = []
-    original = routing._label_search
+    original = routing._start
 
-    def counted(table, src, *args, **kwargs):
+    def counted(n, src):
         calls.append(src)
-        return original(table, src, *args, **kwargs)
+        return original(n, src)
 
-    monkeypatch.setattr(routing, "_label_search", counted)
+    monkeypatch.setattr(routing, "_start", counted)
     return calls
 
 

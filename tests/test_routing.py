@@ -174,6 +174,18 @@ def test_infinite_and_nan_costs(radius):
     assert as_tuple(find_optimal_path(table, RouteQuery(2, 1, radius))) == ((2, 1), 1.0, 1)
 
 
+def test_nodes_reached_only_over_infinite_costs_are_routed():
+    # node 2 is reached at an infinite distance; one hop beats (1, 3, 2), as
+    # long, so a node not reached yet must hold more hops than any path has
+    table = DistanceTable.from_rows([[0, math.inf, 1], [math.inf, 0, math.inf], [1, math.inf, 0]])
+    query = RouteQuery(1, 2, math.inf)
+    expected = ((1, 2), math.inf, 1)
+    assert both_routes(table, query) == (expected, expected)
+    assert Routes(table, math.inf).path(1, 2) == (1, 2)
+    assert shortest_path_tree(table, 1, math.inf)[2] == (1, 2)
+    assert all_pairs_profile(table, math.inf, CountingMode.TRANSMITTERS_ONLY).unreachable == 0
+
+
 # the two-hop route 1, 2, 3 is the shorter one in each; 3 * 2.8e307 stays
 # below 2**1023, and 1e-320 is subnormal
 FLOAT_RANGE_ROWS = {
@@ -206,7 +218,7 @@ def test_costs_too_large_to_add_exactly_are_refused():
                  lambda: shortest_path_tree(table, 1, 1),
                  lambda: routes.path(1, 2),
                  lambda: routes.path(1, 2),
-                 lambda: routes.labels(2),
+                 lambda: tally_all_pairs(routes, CountingMode.TRANSMITTERS_ONLY),
                  lambda: all_pairs_profile(table, 1, CountingMode.TRANSMITTERS_ONLY),
                  lambda: path_distance(table, [1, 2])):
         with pytest.raises(InvalidInput, match="too large to add exactly"):
@@ -579,8 +591,8 @@ def test_exact_tie_pushed_second_wins_on_node_sequence():
 @example(TIED_ROWS, 4, 0)
 @example(TIED_ROWS, 4, 1)
 def test_paused_searches_change_no_route(rows, radius, seed):
-    # pairs in a drawn order pause and resume each source's search at drawn
-    # nodes; labels() then runs the paused searches to their end
+    # pairs in a drawn order stop and run on each source's state at drawn
+    # nodes; _tree() then runs the kept states to their end
     table = DistanceTable.from_rows(rows)
     trees = {src: shortest_path_tree(table, src, radius) for src in table.nodes}
     pairs = list(itertools.product(table.nodes, repeat=2))
@@ -592,7 +604,7 @@ def test_paused_searches_change_no_route(rows, radius, seed):
         assert routes.path(src, dst) == trees[src][dst]
     fresh = Routes(table, radius)
     for src in table.nodes:
-        assert routes.labels(src) == fresh.labels(src)
+        assert routes._tree(src) == fresh._tree(src)
     for src, dst in pairs[asked:]:
         assert routes.path(src, dst) == trees[src][dst]
 
@@ -603,15 +615,15 @@ def test_a_search_that_raised_starts_over(monkeypatch):
     precedes = routing._precedes
     raised = []
 
-    def raise_once(a, b):
+    def raise_once(parent, a, b):
         if not raised:
             raised.append((a, b))
             raise RuntimeError("injected")
-        return precedes(a, b)
+        return precedes(parent, a, b)
 
     monkeypatch.setattr(routing, "_precedes", raise_once)
     routes = Routes(table, 4)
-    assert routes.path(1, 2) == (1, 2)  # pauses 1's search before 5 is expanded
+    assert routes.path(1, 2) == (1, 2)  # stops 1's state before 5 is settled
     with pytest.raises(RuntimeError):
         routes.path(1, 6)
     assert raised
@@ -653,8 +665,8 @@ def test_routes_build_one_tree_per_source(table1, tree_calls):
             for dst in table1.nodes:
                 routes.path(src, dst)
     assert tree_calls == list(table1.nodes)
-    # each source's nearest destinations pause its search, the farthest
-    # resume it, and the fold over every source runs it to its end, as
+    # each source's nearest destinations stop its state early, the farthest
+    # run it further, and the fold over every source runs it to its end, as
     # simulate does after its traffic
     tree_calls.clear()
     routes = Routes(table1, 5)
@@ -663,7 +675,7 @@ def test_routes_build_one_tree_per_source(table1, tree_calls):
     for src in table1.nodes:
         for dst in by_distance[src][:3]:
             routes.path(src, dst)
-    assert any(routes._searches)  # some are paused
+    assert any(state[5] for state in routes._states if state)  # some heaps are not empty
     for src in table1.nodes:
         for dst in by_distance[src][-2:]:
             routes.path(src, dst)
@@ -678,7 +690,7 @@ def test_finished_searches_release_their_state(table1, radius):
     for src in table1.nodes:
         for dst in table1.nodes:
             routes.path(src, dst)
-    assert not any(routes._searches)
+    assert not any(state[5] for state in routes._states[1:])  # every heap is empty
 
 
 @pytest.mark.parametrize("radius", [float("nan"), -1, -0.5])

@@ -606,6 +606,16 @@ def test_bad_radius_raises_at_construction(table1_topology, radius):
         run_traffic(table1_topology, SimConfig(radius, 0, 1))
 
 
+def test_table_too_large_to_route_raises_at_construction():
+    # n * C = 2e308 is past 2**1023: routing refuses the table, so a network
+    # must refuse it before its first tick, not trace a wake and then raise
+    topology = Topology(table=validate_table([[0, 1e308], [1e308, 0]]))
+    with pytest.raises(InvalidInput, match="too large to add exactly"):
+        Coordinator(topology.table, 2e308)
+    with pytest.raises(InvalidInput, match="too large to add exactly"):
+        SimNetwork(topology, 2e308, sample_period=1)
+
+
 @pytest.mark.parametrize("period", [0, -3])
 def test_sample_period_below_one_raises_at_construction(table1_topology, period):
     with pytest.raises(InvalidInput):
@@ -877,7 +887,7 @@ def test_network_refuses_alarm_digits_no_frame_can_carry(table1_topology, digits
     assert len([event for event in net.trace[start:] if event[1] in ("deliver", "relay")]) == on_air
 
 
-# --- one label search per source ----------------------------------------------
+# --- one search per source ------------------------------------------------------
 
 
 def test_profile_builds_one_tree_per_source(table1, tree_calls):

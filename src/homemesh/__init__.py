@@ -39,7 +39,6 @@ from .routing import (
     brute_force_route,
     find_optimal_path,
     path_distance,
-    shortest_path_tree,
 )
 from .simnet import (
     Coordinator,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import select
 import signal
 import socket
@@ -42,6 +43,17 @@ def _parse_port(text: str) -> int:
     if not text.isdigit() or int(text) > 65535:
         raise argparse.ArgumentTypeError(f"expected a port in 0-65535, got {text!r}")
     return int(text)
+
+
+def _parse_timeout(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number of seconds, got {text!r}")
+    return value
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
@@ -250,7 +262,12 @@ def _admin_request(addr: tuple[str, int], request: dict, timeout: float = 5.0) -
             line = reader.readline()
     if not line:
         raise OSError("admin connection closed without a response")
-    response = json.loads(line)
+    try:
+        response = json.loads(line)
+    except ValueError:  # not UTF-8 or not JSON
+        response = None
+    if not isinstance(response, dict):
+        raise OSError(f"admin reply is not a JSON object: {line[:80]!r}")
     if not response.get("ok"):
         raise HomemeshError(response.get("error"))
     return response
@@ -455,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="HOST:PORT")
     _add_admin(p)
     p.add_argument("--store", default="monitor-store.log")
-    p.add_argument("--command-timeout", type=float, default=monitor.DEFAULT_COMMAND_TIMEOUT)
+    p.add_argument("--command-timeout", type=_parse_timeout,
+                   default=monitor.DEFAULT_COMMAND_TIMEOUT)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("send-command", help="dispatch a switch command via a running service")
@@ -490,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alarm-node", type=int, default=7)
     p.add_argument("--port", type=_parse_port, default=0, help="monitor port (0 = ephemeral)")
     p.add_argument("--store", default=None)
-    p.add_argument("--command-timeout", type=float, default=monitor.DEFAULT_COMMAND_TIMEOUT)
+    p.add_argument("--command-timeout", type=_parse_timeout,
+                   default=monitor.DEFAULT_COMMAND_TIMEOUT)
     p.set_defaults(func=cmd_demo)
 
     return parser

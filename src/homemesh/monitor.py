@@ -17,6 +17,7 @@ import contextlib
 import heapq
 import json
 import logging
+import math
 import os
 import socket
 import struct
@@ -492,6 +493,9 @@ class MonitorCore:
     """
 
     def __init__(self, store_path, command_timeout: float):
+        if not 0 < command_timeout < math.inf:  # also catches NaN, which never times out
+            raise InvalidInput(
+                f"command timeout must be a positive finite number, got {command_timeout!r}")
         self._store_path = store_path
         self.command_timeout = command_timeout
         self.store: RecordStore | None = None

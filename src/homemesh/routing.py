@@ -15,14 +15,14 @@ and the order nodes settled in) and a heap of (dist, hops, node). One plain
 function, _settle, runs a state until a given node is settled or its heap
 is empty, and a later call runs it further: a settled node never changes,
 so a state run in steps settles what one run in one go settles.
-find_optimal_path runs a fresh state until its destination is settled;
-shortest_path_tree runs one to its end. A parent is a node id, so a
-relaxation copies no path, and a route is read up the parent list once it
-is wanted. Node sequences are compared only between two routes of one node
-that tie on distance and hops, by walking both up the parent list. Routes
-is the one owner of kept states: callers that route many pairs on a table
-at a radius ask one Routes object, which keeps one state per source, runs
-it only as far as each pair asks, and reads each path out of it once.
+find_optimal_path runs a fresh state until its destination is settled. A
+parent is a node id, so a relaxation copies no path, and a route is read up
+the parent list once it is wanted. Node sequences are compared only between
+two routes of one node that tie on distance and hops, by walking both up
+the parent list. Routes is the one owner of kept states: callers that route
+many pairs on a table at a radius ask one Routes object, which keeps one
+state per source, runs it only as far as each pair asks, and reads each
+path out of it once.
 
 The all-pairs profile never walks the n(n-1) paths. A route extends its
 node-before-last's own route, so a node's visits over every route from the
@@ -33,12 +33,11 @@ state before the next source, so it holds one state at a time; tally_pairs,
 which keeps every source's paths, serves drawn traffic, where pairs repeat.
 
 A Routes builds one radius-pruned adjacency, each node's (next node, cost)
-pairs within the radius, with its first search and shares it with every
-later one, so a search costs n times the degree instead of n squared, and
-walks only usable edges, testing none against the radius. A single
-find_optimal_path query keeps the row scan: it settles only part of
-the net, and building the adjacency for it costs more than the scan it
-saves.
+pairs within the radius, when it is built and shares it with every search,
+so a search costs n times the degree instead of n squared, and walks only
+usable edges, testing none against the radius. The row scan has one caller,
+find_optimal_path's single query: it settles only part of the net, and
+building the adjacency for it costs more than the scan it saves.
 """
 
 from __future__ import annotations
@@ -194,15 +193,16 @@ def _settle(table: DistanceTable, radius: float, state, stop: int, edges=None) -
     stopped. A state that stops with every node settled empties its heap, as
     nothing left in it could settle another.
 
-    A settled node's out-edges come from `edges[node]`, a list of (next node,
-    cost) pairs within the radius in id order, costs already on the grid,
-    when an adjacency is given, and from a scan of its whole cost row, each
-    cost tested against the radius and then put on the grid, otherwise; the
-    two offer the same usable edges in the same order, but for the self
-    edge, which the scan offers and which never wins. The two loops share
-    one relaxation, written out in each: on the adjacency a radius test per
-    edge is dead work, and on the scan a call per edge or a pruned copy of
-    each row costs more than the test it saves.
+    A settled node's out-edges come from `edges[node]`, a Routes adjacency
+    of (next node, cost) pairs within the radius in id order, costs already
+    on the grid, when one is given, and otherwise, for find_optimal_path's
+    single query, from a scan of its whole cost row, each cost tested
+    against the radius and then put on the grid; the two offer the same
+    usable edges in the same order, but for the self edge, which the scan
+    offers and which never wins. The two loops share one relaxation, written
+    out in each: on the adjacency a radius test per edge is dead work, and
+    on the scan a call per edge or a pruned copy of each row costs more than
+    the test it saves.
     """
     dist, hops, parent, done, order, heap = state
     if edges is None:
@@ -263,21 +263,6 @@ def find_optimal_path(table: DistanceTable, query: RouteQuery) -> Route:
     return Route(_path(parent, dst), dist[dst], hops[dst])
 
 
-def shortest_path_tree(table: DistanceTable, src: int,
-                       radius: float) -> list[tuple[int, ...] | None]:
-    """Every node's best route from `src`, indexed by node id.
-
-    Entry v is the path find_optimal_path returns for (src, v, radius), or
-    None when v is unreachable; entry 0 is always None.
-    """
-    table.check_node(src)
-    _check_radius(radius)
-    state = _start(table.n, src)
-    _settle(table, radius, state, 0)
-    _, _, parent, done, _, _ = state
-    return [_path(parent, v) if done[v] else None for v in range(table.n + 1)]
-
-
 _UNREAD = object()  # a Routes path entry not yet read out of its state
 
 
@@ -291,31 +276,26 @@ class Routes:
     settled yet and its heap is not empty. Traffic asks a few destinations
     per source, so most of each search is never run. The states are kept
     for the life of the object, as is each path, read out of its state on
-    its first pair. The first state also builds the radius-pruned adjacency
-    that every state then walks: entry v lists the (next node, cost) pairs
-    of v's cost row within the radius, v itself left out, each cost on the
-    table's grid.
+    its first pair. Construction checks the radius and the table's grid, so
+    a table too large to add exactly is refused there, and builds the
+    radius-pruned adjacency that every state walks: entry v lists the (next
+    node, cost) pairs of v's cost row within the radius, v itself left out,
+    each cost on the table's grid.
     """
 
     def __init__(self, table: DistanceTable, radius: float):
         _check_radius(radius)
+        grid = _grid(table)
         self.table = table
         self.radius = radius
         # per source, its search state and each destination's path, None, or _UNREAD
         self._states: list[tuple | None] = [None] * (table.n + 1)
         self._paths: list[list | None] = [None] * (table.n + 1)
-        self._edges: list[list[tuple[int, float]]] | None = None
-
-    def _adjacency(self) -> list[list[tuple[int, float]]]:
-        if self._edges is None:
-            radius = self.radius
-            grid = _grid(self.table)
-            self._edges = [[]] + [
-                [(nxt, (edge + grid) - grid) for nxt, edge in enumerate(row, 1)
-                 if edge <= radius and nxt != node]
-                for node, row in enumerate(self.table.cost, 1)
-            ]
-        return self._edges
+        self._edges = [[]] + [
+            [(nxt, (edge + grid) - grid) for nxt, edge in enumerate(row, 1)
+             if edge <= radius and nxt != node]
+            for node, row in enumerate(table.cost, 1)
+        ]
 
     def _run(self, src: int, stop: int) -> None:
         """Run src's kept state until stop is settled, to its end for 0.
@@ -335,9 +315,8 @@ class Routes:
         self.table.check_node(src)
         state = self._states[src]
         if state is None:
-            edges = self._adjacency()
             state = _start(self.table.n, src)
-            _settle(self.table, self.radius, state, 0, edges)
+            _settle(self.table, self.radius, state, 0, self._edges)
         elif state[5]:
             self._run(src, 0)
         return state
@@ -351,7 +330,6 @@ class Routes:
             self.table.check_node(dst)
         paths = self._paths[src]
         if paths is None:
-            self._adjacency()  # first: a table _grid refuses leaves src no state
             paths = self._paths[src] = [_UNREAD] * (n + 1)
             self._states[src] = _start(n, src)
         path = paths[dst]

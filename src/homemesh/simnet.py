@@ -16,7 +16,7 @@ from enum import Enum
 from . import wire
 from .errors import InvalidInput, MisroutedFrame, UnknownNode
 from .netmodel import DistanceTable, Topology
-from .routing import CountingMode, Routes, VisitStats, _grid, tally_pairs
+from .routing import CountingMode, Routes, VisitStats, tally_pairs
 from .wire import _build
 
 MAX_FRAME_PAYLOAD = 96  # small-frame discipline for the radio side
@@ -270,18 +270,13 @@ class SimConfig:
             raise InvalidInput(f"transmissions must be >= 0, got {self.transmissions}")
 
 
-def run_pairs(topology: Topology, pairs, radius: float, mode: CountingMode) -> VisitStats:
-    """Route and tally an explicit sequence of (src, dst) transmissions."""
-    return tally_pairs(Routes(topology.table, radius), pairs, mode)
-
-
 def run_traffic(topology: Topology, config: SimConfig) -> VisitStats:
     """Seeded uniform random traffic over ordered pairs; see draw_pair for the
     documented draw so other implementations reproduce the same sequence."""
     if topology.n < 2:
         raise InvalidInput("traffic needs at least 2 nodes")
     pairs = draw_pairs(topology.n, config.transmissions, config.seed)
-    return run_pairs(topology, pairs, config.radius, config.mode)
+    return tally_pairs(Routes(topology.table, config.radius), pairs, config.mode)
 
 
 class Coordinator:
@@ -297,7 +292,6 @@ class Coordinator:
     def __init__(self, table: DistanceTable, radius: float, node_id: int = 1):
         table.check_node(node_id)
         self.routes = Routes(table, radius)
-        _grid(table)  # refuse a table too large to route here, not mid-tick
         self.node_id = node_id
         self._seq = 0
         self._pending: dict[int, deque[int]] = {}

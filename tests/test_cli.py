@@ -7,6 +7,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -248,8 +249,6 @@ def test_send_command_subcommand_nacked_without_route(capsys, live_service):
     sock.sendall(wire.encode_datagram(wire.Datagram(wire.MsgType.HEARTBEAT, 0, 1)))
     decoder = wire.StreamDecoder()
 
-    import threading
-
     def answer():
         try:
             while True:
@@ -310,6 +309,41 @@ def test_ports_outside_0_to_65535_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "expected a port in 0-65535" in err
+
+
+@pytest.mark.parametrize("command", ["serve", "demo"])
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1", "soon"])
+def test_command_timeouts_that_are_not_positive_finite_numbers_are_usage_errors(
+        capsys, monkeypatch, command, timeout):
+    def refuse(self):
+        raise AssertionError("a service started")
+
+    monkeypatch.setattr(monitor.MonitorService, "start", refuse)
+    code, out, err = run(capsys, command, "--command-timeout", timeout)
+    assert (code, out) == (2, "")
+    assert "expected a positive finite number of seconds" in err
+
+
+@pytest.mark.parametrize("reply", [b"hello\n", b"[1]\n", b"\xff\n"])
+def test_an_admin_reply_that_is_not_a_json_object_is_an_io_error(capsys, reply):
+    peer = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        conn, _ = peer.accept()
+        with conn:
+            conn.recv(4096)
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=answer)
+    thread.start()
+    host, port = peer.getsockname()
+    try:
+        code, out, err = run(capsys, "snapshot", "--admin", f"{host}:{port}")
+    finally:
+        thread.join(timeout=5)
+        peer.close()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: admin reply is not a JSON object")
 
 
 def read_datagrams(sock, decoder, count, timeout=10.0):

@@ -19,6 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, \
@@ -308,6 +309,16 @@ def test_a_session_takes_its_dedup_window_with_it(tmp_path):
         assert len(core.store.query()[0]) == 1000
     finally:
         core.close()
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+def test_a_command_timeout_that_is_not_a_positive_finite_number_is_refused(tmp_path, timeout):
+    # a NaN deadline is never reached, so its ticket would stay SENT for ever
+    with pytest.raises(InvalidInput, match="command timeout must be a positive finite number"):
+        MonitorCore(tmp_path / "store.log", command_timeout=timeout)
+    with pytest.raises(InvalidInput, match="command timeout must be a positive finite number"):
+        monitor.serve(("127.0.0.1", 0), ("127.0.0.1", 0), tmp_path / "store.log", timeout)
+    assert not (tmp_path / "store.log").exists()
 
 
 # --- the chunk path against one handle_datagram per datagram --------------------

@@ -26,7 +26,6 @@ from homemesh.routing import (
     brute_force_route,
     find_optimal_path,
     path_distance,
-    shortest_path_tree,
     tally_all_pairs,
     tally_pairs,
 )
@@ -48,6 +47,21 @@ PLANAR60_K18_ROUTES = "ad49ebb8d2ba61711b6b9f6a4888a99b33f6acf6ab114eab5523d2feb
 
 def as_tuple(route):
     return (route.path, route.dist, route.hops)
+
+
+def single_path(table, src, dst, radius):
+    """find_optimal_path's path for one pair, None where it is unreachable."""
+    try:
+        return find_optimal_path(table, RouteQuery(src, dst, radius)).path
+    except NoPath:
+        return None
+
+
+def tree(routes, src):
+    """Every node's path from src, indexed by node id (None where unreachable,
+    entry 0 None), read off src's search state on `routes` run to its end."""
+    _, _, parent, done, _, _ = routes._tree(src)
+    return [None] + [routing._path(parent, v) if done[v] else None for v in routes.table.nodes]
 
 
 def both_routes(table, query):
@@ -182,7 +196,7 @@ def test_nodes_reached_only_over_infinite_costs_are_routed():
     expected = ((1, 2), math.inf, 1)
     assert both_routes(table, query) == (expected, expected)
     assert Routes(table, math.inf).path(1, 2) == (1, 2)
-    assert shortest_path_tree(table, 1, math.inf)[2] == (1, 2)
+    assert tree(Routes(table, math.inf), 1)[2] == (1, 2)
     assert all_pairs_profile(table, math.inf, CountingMode.TRANSMITTERS_ONLY).unreachable == 0
 
 
@@ -211,14 +225,9 @@ def test_tables_at_the_ends_of_the_float_range_route_on_their_grid(rows):
 def test_costs_too_large_to_add_exactly_are_refused():
     # n * C = 2e308 is past 2**1023, about 9e307: the grid or a sum could overflow
     table = DistanceTable.from_rows([[0, 1e308], [1e308, 0]])
-    routes = Routes(table, 1)
-    # routes is asked twice: a refusal must not leave 1's route reading as unreachable
     for call in (lambda: find_optimal_path(table, RouteQuery(1, 2, math.inf)),
                  lambda: brute_force_route(table, RouteQuery(1, 1, 1)),
-                 lambda: shortest_path_tree(table, 1, 1),
-                 lambda: routes.path(1, 2),
-                 lambda: routes.path(1, 2),
-                 lambda: tally_all_pairs(routes, CountingMode.TRANSMITTERS_ONLY),
+                 lambda: Routes(table, 1),
                  lambda: all_pairs_profile(table, 1, CountingMode.TRANSMITTERS_ONLY),
                  lambda: path_distance(table, [1, 2])):
         with pytest.raises(InvalidInput, match="too large to add exactly"):
@@ -442,12 +451,12 @@ def cost_rows(draw):
 @example(SETTLED_TIE_ROWS, 1.0)
 def test_tree_paths_match_enumeration(rows, radius):
     table = DistanceTable.from_rows(rows)
+    routes = Routes(table, radius)
     for src in table.nodes:
-        tree = shortest_path_tree(table, src, radius)
-        assert len(tree) == table.n + 1 and tree[0] is None
+        paths = tree(routes, src)
         for dst in table.nodes:
             best = enum_best_route(table.cost, src, dst, radius)
-            assert tree[dst] == (None if best is None else best[2])
+            assert paths[dst] == (None if best is None else best[2])
 
 
 @given(cost_rows(), st.sampled_from([0.2, 0.3, 0.5, 1.0, 2.0, 3.0]))
@@ -539,22 +548,12 @@ def routes_digest(table, route_of):
 
 def test_frozen_routes_on_planar_net():
     table = planar60_table()
-    trees = {}
+    routes = Routes(table, 18)
+    trees = {src: tree(routes, src) for src in table.nodes}
 
-    def tree_path(src, dst):
-        if src not in trees:
-            trees[src] = shortest_path_tree(table, src, 18)
-        return trees[src][dst]
-
-    def query_path(src, dst):
-        try:
-            return find_optimal_path(table, RouteQuery(src, dst, 18)).path
-        except NoPath:
-            return None
-
-    assert routes_digest(table, tree_path) == PLANAR60_K18_ROUTES
-    assert routes_digest(table, query_path) == PLANAR60_K18_ROUTES
-    assert routes_digest(table, Routes(table, 18).path) == PLANAR60_K18_ROUTES
+    assert routes_digest(table, lambda src, dst: trees[src][dst]) == PLANAR60_K18_ROUTES
+    assert routes_digest(table, lambda src, dst: single_path(table, src, dst, 18)) == PLANAR60_K18_ROUTES
+    assert routes_digest(table, routes.path) == PLANAR60_K18_ROUTES
 
 
 # From 1, (1, 3, 4, 6) and (1, 2, 5, 6) both cost 6 over 3 hops. 4 settles
@@ -576,11 +575,11 @@ def test_exact_tie_pushed_second_wins_on_node_sequence():
     assert path_distance(table, (1, 3, 4)) < path_distance(table, (1, 2, 5))
     routes = Routes(table, 4)
     for src in table.nodes:
-        tree = shortest_path_tree(table, src, 4)
+        paths = tree(routes, src)
         for dst in table.nodes:
             best = brute_force_route(table, RouteQuery(src, dst, 4))
             assert as_tuple(find_optimal_path(table, RouteQuery(src, dst, 4))) == as_tuple(best)
-            assert tree[dst] == routes.path(src, dst) == best.path
+            assert paths[dst] == routes.path(src, dst) == best.path
     assert routes.path(1, 6) == (1, 2, 5, 6)
 
 
@@ -592,21 +591,22 @@ def test_exact_tie_pushed_second_wins_on_node_sequence():
 @example(TIED_ROWS, 4, 1)
 def test_paused_searches_change_no_route(rows, radius, seed):
     # pairs in a drawn order stop and run on each source's state at drawn
-    # nodes; _tree() then runs the kept states to their end
+    # nodes; _tree() then runs the kept states to their end. find_optimal_path
+    # runs the row scan, so it cross-checks the adjacency loop
     table = DistanceTable.from_rows(rows)
-    trees = {src: shortest_path_tree(table, src, radius) for src in table.nodes}
     pairs = list(itertools.product(table.nodes, repeat=2))
+    expected = {(src, dst): single_path(table, src, dst, radius) for src, dst in pairs}
     rng = random.Random(seed)
     rng.shuffle(pairs)
     asked = rng.randrange(len(pairs) + 1)
     routes = Routes(table, radius)
     for src, dst in pairs[:asked]:
-        assert routes.path(src, dst) == trees[src][dst]
+        assert routes.path(src, dst) == expected[src, dst]
     fresh = Routes(table, radius)
     for src in table.nodes:
         assert routes._tree(src) == fresh._tree(src)
     for src, dst in pairs[asked:]:
-        assert routes.path(src, dst) == trees[src][dst]
+        assert routes.path(src, dst) == expected[src, dst]
 
 
 def test_a_search_that_raised_starts_over(monkeypatch):
@@ -633,14 +633,12 @@ def test_a_search_that_raised_starts_over(monkeypatch):
 
 
 def test_tree_validation(table1):
+    # a bad radius is refused at construction (test_routes_reject_bad_radius_at_construction)
+    routes = Routes(table1, 5)
     with pytest.raises(UnknownNode):
-        shortest_path_tree(table1, 11, 5)
+        routes._tree(11)
     with pytest.raises(UnknownNode):
-        shortest_path_tree(table1, True, 5)
-    with pytest.raises(InvalidInput):
-        shortest_path_tree(table1, 1, float("nan"))
-    with pytest.raises(InvalidInput):
-        shortest_path_tree(table1, 1, -1)
+        routes._tree(True)
 
 
 # --- Routes: every tree on one table at one radius ------------------------------

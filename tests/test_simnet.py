@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from homemesh import routing, simnet, wire
 from homemesh.errors import InvalidInput, MisroutedFrame, UnknownNode
 from homemesh.netmodel import Topology, topology_from_positions, validate_table
-from homemesh.routing import CountingMode, RouteQuery, brute_force_route
+from homemesh.routing import CountingMode, RouteQuery, Routes, brute_force_route, tally_pairs
 from homemesh.simnet import (
     Coordinator,
     FrameKind,
@@ -26,7 +26,6 @@ from homemesh.simnet import (
     node_on_receive,
     parse_switch_ack,
     run_discovery,
-    run_pairs,
     run_traffic,
     switch_ack_payload,
     synthetic_reading,
@@ -456,7 +455,7 @@ def test_traffic_zero_transmissions(table1_topology):
 
 
 def test_forced_single_pair(table1_topology):
-    stats = run_pairs(table1_topology, [(1, 10)], 5, CountingMode.TRANSMITTERS_ONLY)
+    stats = tally_pairs(Routes(table1_topology.table, 5), [(1, 10)], CountingMode.TRANSMITTERS_ONLY)
     expected = {node: 0 for node in range(1, 11)}
     expected[1] = 1
     expected[5] = 1  # relay transmits; node 10 only receives
@@ -495,8 +494,9 @@ def test_traffic_matches_oracle_replay(table1_topology):
 
 def test_traffic_conservation(table1_topology):
     pairs = draw_pairs(10, 300, 9)
-    transmitters = run_pairs(table1_topology, pairs, 5, CountingMode.TRANSMITTERS_ONLY)
-    everything = run_pairs(table1_topology, pairs, 5, CountingMode.ALL_PATH_NODES)
+    routes = Routes(table1_topology.table, 5)
+    transmitters = tally_pairs(routes, pairs, CountingMode.TRANSMITTERS_ONLY)
+    everything = tally_pairs(routes, pairs, CountingMode.ALL_PATH_NODES)
     lengths = 0
     for src, dst in pairs:
         lengths += len(brute_force_route(table1_topology.table, RouteQuery(src, dst, 5)).path)
@@ -614,6 +614,8 @@ def test_table_too_large_to_route_raises_at_construction():
         Coordinator(topology.table, 2e308)
     with pytest.raises(InvalidInput, match="too large to add exactly"):
         SimNetwork(topology, 2e308, sample_period=1)
+    with pytest.raises(InvalidInput, match="too large to add exactly"):
+        run_traffic(topology, SimConfig(2e308, 0, 1))  # refused with no pair to route
 
 
 @pytest.mark.parametrize("period", [0, -3])
